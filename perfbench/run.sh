@@ -10,9 +10,11 @@ set -euo pipefail
 root=$(pwd)
 test -f "$root/go.mod" || { echo "run.sh: run from the repository root (no go.mod here)" >&2; exit 2; }
 out="$root/.bench_build"
-mkdir -p "$out/gocache" "$out/gomodcache" "$out/tmp"
+mkdir -p "$out/gocache" "$out/gomodcache" "$out/tmp" "$out/config"
 export GOCACHE="$out/gocache" GOMODCACHE="$out/gomodcache" GOTMPDIR="$out/tmp" TMPDIR="$out/tmp"
-export GOENV=off GOTOOLCHAIN=local GOFLAGS= GOPROXY=off GOWORK=off CGO_ENABLED=0
+# XDG_CONFIG_HOME keeps the go command's telemetry counters in the checkout.
+export XDG_CONFIG_HOME="$out/config"
+export GOENV=off GOTOOLCHAIN=local GOFLAGS=-buildvcs=false GOPROXY=off GOWORK=off CGO_ENABLED=0
 
 go build -o "$out/topkd" ./cmd/topkd
 (cd perfbench && go build -o "$out/perfbench" .)
