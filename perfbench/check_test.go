@@ -4,10 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"topkmon/internal/cluster"
-	"topkmon/internal/eps"
-	"topkmon/internal/lockstep"
-	"topkmon/internal/protocol"
 	"topkmon/topk"
 )
 
@@ -55,16 +51,8 @@ func TestDecoratorsByteIdentical(t *testing.T) {
 	for _, name := range []string{"churn", "bulk"} {
 		w := mustWorkload(t, name)
 		batches := tenantBatches(newTrace(w, 5).phase(1, w.Rate), w.Tenants)[0]
-		e, err := eps.New(1, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
 		st := &engineStats{}
-		decorated, err := newTenantMonitor(w, 0,
-			topk.WithClusterEngine(&timedEngine{e: lockstep.New(w.Nodes, tenantSeed(0)), st: st}),
-			topk.WithMonitorFunc(func(c cluster.Cluster) protocol.Monitor {
-				return &timedProtocol{m: protocol.NewApprox(c, w.K, e), st: st}
-			}))
+		decorated, err := newTracedMonitor(w, 0, st)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,29 +10,19 @@ import (
 	"topkmon/topk"
 )
 
-// workloadsJSON is the benchmark's fixed configuration: every workload's
-// shape, offered rate, latency limit and ladder, the generator's validity
-// bound and the CPU pinning. It is the record of what each run measures.
+// workloadsJSON is the benchmark's record of what each run measures:
+// every workload's shape, offered rate, latency limit and ladder start,
+// the generator's validity bound and the CPU pinning. Settings that no
+// workload varies are constants next to their use.
 //
 //go:embed workloads.json
 var workloadsJSON []byte
 
-// Pinning names the CPU topkd runs on; run.sh pins the benchmark
-// itself (generator, in-process replays, items) to the other one.
-type Pinning struct {
-	ServerCPU int    `json:"server_cpu"`
-	Note      string `json:"note"`
-}
-
 // Settings is the parsed workloads.json.
 type Settings struct {
-	Pinning         Pinning    `json:"pinning"`
-	Connections     int        `json:"connections"`
-	LagBoundMs      float64    `json:"lag_bound_ms"`
-	TailPercentiles []float64  `json:"tail_percentiles"`
-	TailMinBeyond   int        `json:"tail_min_beyond"`
-	SetupRepeats    int        `json:"setup_repeats"`
-	Workloads       []Workload `json:"workloads"`
+	Pinning    string     `json:"pinning"` // how run.sh and startServer pin the processes
+	LagBoundMs float64    `json:"lag_bound_ms"`
+	Workloads  []Workload `json:"workloads"`
 }
 
 // Workload is one traffic mix. Served workloads drive topkd over
@@ -58,12 +48,9 @@ type Workload struct {
 	// TailWindowS is the window the tail statistic is taken in (see
 	// tailStat): sized so each window holds a few hundred samples.
 	TailWindowS float64 `json:"tail_window_s"`
-	WarmupS     float64 `json:"warmup_s"`
 	LimitMs     float64 `json:"limit_ms"`
-	LadderRatio float64 `json:"ladder_ratio"`
 	LadderStart int     `json:"ladder_start"`
 	LadderSteps int     `json:"ladder_steps"`
-	ProbeS      float64 `json:"probe_s"`
 
 	// TraceRequests caps the requests (items: steps) the traced run
 	// replays in-process.

@@ -1,13 +1,40 @@
 package main
 
 import (
+	"fmt"
+
 	"topkmon/internal/cluster"
+	"topkmon/internal/eps"
 	"topkmon/internal/filter"
+	"topkmon/internal/lockstep"
 	"topkmon/internal/metrics"
 	"topkmon/internal/protocol"
 	"topkmon/internal/rngx"
 	"topkmon/internal/wire"
+	"topkmon/topk"
 )
+
+// newTracedMonitor builds tenant i's monitor on the timing decorators:
+// the lockstep engine and the approx protocol topkd builds for it, each
+// wrapped so its calls are timed into st.
+func newTracedMonitor(w Workload, i int, st *engineStats) (*topk.Monitor, error) {
+	if w.Monitor != "approx" {
+		return nil, fmt.Errorf("traced run supports monitor approx, not %q", w.Monitor)
+	}
+	num, den, err := w.epsParts()
+	if err != nil {
+		return nil, err
+	}
+	e, err := eps.New(num, den)
+	if err != nil {
+		return nil, err
+	}
+	return newTenantMonitor(w, i,
+		topk.WithClusterEngine(&timedEngine{e: lockstep.New(w.Nodes, tenantSeed(i)), st: st}),
+		topk.WithMonitorFunc(func(c cluster.Cluster) protocol.Monitor {
+			return &timedProtocol{m: protocol.NewApprox(c, w.K, e), st: st}
+		}))
+}
 
 // Engine call classes, one span name each.
 const (

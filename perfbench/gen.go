@@ -129,6 +129,15 @@ var monoBase = time.Now()
 // monoNow is a monotonic clock in ns.
 func monoNow() int64 { return int64(time.Since(monoBase)) }
 
+// cpuNow is the process's CPU time in ns (CLOCK_PROCESS_CPUTIME_ID): all
+// threads', so garbage collection counts, as it does in topkd's user+sys
+// time.
+func cpuNow() int64 {
+	var ts syscall.Timespec
+	syscall.RawSyscall(syscall.SYS_CLOCK_GETTIME, 2, uintptr(unsafe.Pointer(&ts)), 0)
+	return ts.Nano()
+}
+
 // spinWindow is how long before a due time the generator stops waiting
 // in epoll and spins on the clock. Go's timers can wake several
 // milliseconds late on a loaded box; epoll_pwait2 with the thread's timer

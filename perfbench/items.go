@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"syscall"
 	"time"
 
 	"topkmon/internal/cluster"
@@ -61,10 +60,29 @@ func itemsStep(m *items.Monitor, evs []uint32) error {
 	return m.Step()
 }
 
-func processCPU() time.Duration {
-	var ru syscall.Rusage
-	syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+// itemsSetupRepeats is how many times a set-up round constructs the item
+// monitor. One construction takes a fraction of a millisecond, so many
+// are timed. A run makes two rounds, before and after the timed loop, so
+// setup_s, the median of both, samples the shared host at two times.
+const itemsSetupRepeats = 150
+
+// itemsSetup runs one set-up round and returns its construction times.
+// Each construction starts from a freshly collected heap, so no
+// collection cycle lands inside it, and is closed, untimed, before the
+// next.
+func itemsSetup(w Workload) ([]float64, error) {
+	setups := make([]float64, itemsSetupRepeats)
+	for i := range setups {
+		runtime.GC()
+		t0 := time.Now()
+		m, err := newItemsMonitor(w)
+		if err != nil {
+			return nil, err
+		}
+		setups[i] = time.Since(t0).Seconds()
+		m.Close()
+	}
+	return setups, nil
 }
 
 // itemsOutputs renders the monitor's observable state: top items and cost.
@@ -80,36 +98,30 @@ func itemsOutputs(m *items.Monitor) []byte {
 // observes its events and commits. The first FixedSteps steps fix the
 // message count; the run then continues, cycling the trace, until the
 // timed window ends.
-func runItems(st *Settings, w Workload, seed uint64, seconds float64, rep *report) error {
+func runItems(w Workload, seed uint64, seconds float64, rep *report) error {
+	if rep.traced {
+		return runItemsTraced(w, itemsTrace(w, seed, w.FixedSteps), rep)
+	}
+	// The first set-up round runs before the trace is generated, so its
+	// garbage is collected from a small heap and does not raise the peak
+	// RSS.
+	setups, err := itemsSetup(w)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
 	steps := itemsTrace(w, seed, w.FixedSteps)
-	var setups []float64
-	var m *items.Monitor
-	for i := 0; i < st.SetupRepeats; i++ {
-		// Each construction starts from a collected heap, so the figure
-		// does not depend on where the previous one left the collector.
-		runtime.GC()
-		t0 := time.Now()
-		mm, err := newItemsMonitor(w)
-		if err != nil {
-			return err
-		}
-		setups = append(setups, time.Since(t0).Seconds())
-		if m != nil {
-			m.Close()
-		}
-		m = mm
+	m, err := newItemsMonitor(w)
+	if err != nil {
+		return err
 	}
 	defer m.Close()
-	if rep.traced {
-		return runItemsTraced(w, steps, rep)
-	}
-	rep.e2e("setup_s", median(setups), "s")
 
 	truth := streamitems.NewTruth(w.Items)
 	var lat []sample
 	var events int64
 	var msgs int64
-	cpu0 := processCPU()
+	cpu0 := cpuNow()
 	start := monoNow()
 	end := start + int64(seconds*1e9)
 	for n := 0; n < len(steps) || monoNow() < end; n++ {
@@ -126,7 +138,7 @@ func runItems(st *Settings, w Workload, seed uint64, seconds float64, rep *repor
 		}
 	}
 	elapsed := float64(monoNow()-start) / 1e9
-	cpu := processCPU() - cpu0
+	cpu := cpuNow() - cpu0
 	rep.attempted = len(lat)
 	for n := range lat {
 		for _, e := range steps[n%len(steps)] {
@@ -144,12 +156,12 @@ func runItems(st *Settings, w Workload, seed uint64, seconds float64, rep *repor
 		return fmt.Errorf("items: recall@%d = %.3f < 0.9", w.K, recall)
 	}
 
-	tail := computeTail(lat, start, int64(w.TailWindowS*1e9), st.TailPercentiles, st.TailMinBeyond)
+	tail := computeTail(lat, start, int64(w.TailWindowS*1e9))
 	rep.extra("write_p50_ms", medianOf(lat), "ms")
 	rep.extra("write_tail_ms", tail.value, "ms")
 	rep.note("items: a write is one step (%d observed events + Step); write_tail_ms is p%g, %d windows of >= %d steps",
 		w.EventsPerStep, tail.percentile, tail.windows, tail.perWindow)
-	rep.e2e("server_cpu_us_per_update", float64(cpu.Microseconds())/float64(events), "us")
+	rep.e2e("server_cpu_us_per_update", float64(cpu)/1e3/float64(events), "us")
 	rep.extra("events_per_s", float64(events)/elapsed, "events/s")
 	rep.extra("fail_frac", 0, "ratio")
 	rss, err := peakRSS(os.Getpid())
@@ -157,12 +169,18 @@ func runItems(st *Settings, w Workload, seed uint64, seconds float64, rep *repor
 		return err
 	}
 	rep.e2e("rss_mb", rss, "MiB")
+	more, err := itemsSetup(w)
+	if err != nil {
+		return err
+	}
+	rep.e2e("setup_s", median(append(setups, more...)), "s")
 	return nil
 }
 
 // runItemsTraced replays the steps through an item monitor whose inner
-// topk monitor runs on the timing decorators, next to an undecorated
-// twin whose outputs must match byte for byte.
+// topk monitor runs on the timing decorators and through a plain twin,
+// step by step, alternating which goes first; their outputs must match
+// byte for byte.
 func runItemsTraced(w Workload, steps [][]uint32, rep *report) error {
 	if w.TraceRequests > 0 && len(steps) > w.TraceRequests {
 		steps = steps[:w.TraceRequests]
@@ -180,14 +198,6 @@ func runItemsTraced(w Workload, steps [][]uint32, rep *report) error {
 		return err
 	}
 	defer plain.Close()
-	t0 := monoNow()
-	for _, evs := range steps {
-		if err := itemsStep(plain, evs); err != nil {
-			return err
-		}
-	}
-	untraced := monoNow() - t0
-
 	st := &engineStats{}
 	var tp *timedProtocol
 	traced, err := newItemsMonitor(w,
@@ -200,9 +210,17 @@ func runItemsTraced(w Workload, steps [][]uint32, rep *report) error {
 		return err
 	}
 	defer traced.Close()
-	var observeNs, stepNs, events int64
-	t0 = monoNow()
-	for _, evs := range steps {
+
+	floor := cpuFloor()
+	var plainNs, observeNs, stepNs, cpuNs, events int64
+	runPlain := func(evs []uint32) error {
+		t0 := monoNow()
+		err := itemsStep(plain, evs)
+		plainNs += monoNow() - t0
+		return err
+	}
+	runTraced := func(evs []uint32) error {
+		c0 := cpuNow()
 		a := monoNow()
 		for _, e := range evs {
 			node, item := unpack(e)
@@ -215,11 +233,24 @@ func runItemsTraced(w Workload, steps [][]uint32, rep *report) error {
 			return err
 		}
 		c := monoNow()
+		cpuNs += cpuNow() - c0 - floor
 		observeNs += b - a
 		stepNs += c - b
+		return nil
+	}
+	for n, evs := range steps {
+		first, second := runPlain, runTraced
+		if n%2 == 1 {
+			first, second = runTraced, runPlain
+		}
+		if err := first(evs); err != nil {
+			return err
+		}
+		if err := second(evs); err != nil {
+			return err
+		}
 		events += int64(len(evs))
 	}
-	total := monoNow() - t0
 	rep.attempted = len(steps)
 	if !bytes.Equal(itemsOutputs(plain), itemsOutputs(traced)) {
 		return fmt.Errorf("items: decorated monitor differs from the plain one")
@@ -239,9 +270,10 @@ func runItemsTraced(w Workload, steps [][]uint32, rep *report) error {
 	rep.layer("items.observe_ns_per_event", float64(observeNs)/float64(events), "ns")
 	rep.layer("items.step_us", float64(stepNs)/1e3/n, "us")
 	rep.layer("items.msgs_per_step", float64(cost.Messages)/n, "msgs")
-	rep.layer("trace.inprocess_us_per_req", float64(untraced)/1e3/n, "us")
-	rep.layer("trace.overhead_frac", float64(total-untraced)/float64(untraced), "ratio")
-	rep.note("items: step %.2f us = sketch/aggregation %.2f + protocol %.2f + engine %.2f us",
-		float64(stepNs)/1e3/n, float64(stepNs-protoSelf-eng)/1e3/n, float64(protoSelf)/1e3/n, float64(eng)/1e3/n)
+	rep.layer("trace.inprocess_us_per_req", float64(cpuNs)/1e3/n, "us")
+	rep.layer("trace.overhead_frac", float64(observeNs+stepNs-plainNs)/float64(plainNs), "ratio")
+	rep.note("items: a request is one step; step %.2f us = sketch/aggregation %.2f + protocol %.2f + engine %.2f us; observe %.2f us per step; in-process CPU %.2f us per step",
+		float64(stepNs)/1e3/n, float64(stepNs-protoSelf-eng)/1e3/n, float64(protoSelf)/1e3/n, float64(eng)/1e3/n,
+		float64(observeNs)/1e3/n, float64(cpuNs)/1e3/n)
 	return nil
 }

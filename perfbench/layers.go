@@ -44,13 +44,14 @@ var layerMetrics = []struct{ name, unit string }{
 	{"items.msgs_per_step", "msgs"},
 	{"trace.inprocess_us_per_req", "us"},
 	{"trace.overhead_frac", "ratio"},
+	{"trace.unexplained_frac", "ratio"},
 }
 
 // e2eMetrics lists the end-to-end metrics the JSON line carries, with
 // their units. Latency and sustained rate are printed by name and unit
-// too, but not carried: on a shared VM they follow the host's load (their
-// interquartile range over ten seeds reached 0.5–7 times the median),
-// while these stay within a few percent.
+// too, but not carried: on a shared VM they follow the host's load, and
+// their spread over ten seeds ran to several times the median (README
+// gives the measured spreads of both groups).
 var e2eMetrics = []struct{ name, unit string }{
 	{"setup_s", "s"},
 	{"server_cpu_us_per_update", "us"},

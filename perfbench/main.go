@@ -124,7 +124,7 @@ func run(rep *report, topkd, workDir, name string, seed uint64, seconds float64)
 	if err != nil {
 		return err
 	}
-	rep.note("workload %s seed %d seconds %g trace %v; pinning: %s", w.Name, seed, seconds, rep.traced, st.Pinning.Note)
+	rep.note("workload %s seed %d seconds %g trace %v; pinning: %s", w.Name, seed, seconds, rep.traced, st.Pinning)
 	rep.note("stresses %s; bypasses %s", w.Stresses, w.Bypasses)
 	dir, err := os.MkdirTemp(workDir, "run-"+w.Name+"-")
 	if err != nil {
@@ -139,7 +139,7 @@ func run(rep *report, topkd, workDir, name string, seed uint64, seconds float64)
 		r := &servedRun{st: st, w: w, seed: seed, seconds: seconds, bin: topkd, dir: dir, rep: rep}
 		err = r.run(rep.traced)
 	case "items":
-		err = runItems(st, w, seed, seconds, rep)
+		err = runItems(w, seed, seconds, rep)
 	default:
 		err = fmt.Errorf("workload %s: unknown kind %q", w.Name, w.Kind)
 	}

@@ -15,7 +15,11 @@ import (
 	"time"
 )
 
-// server is one topkd process pinned to the server CPU.
+// serverCPU is the CPU topkd is pinned to; run.sh pins the benchmark
+// itself to the other one.
+const serverCPU = 0
+
+// server is one topkd process pinned to serverCPU.
 type server struct {
 	cmd  *exec.Cmd
 	addr string
@@ -34,12 +38,12 @@ func freeAddr() (string, error) {
 
 // startServer boots topkd and waits until /healthz answers. It returns
 // the time from process start to ready.
-func startServer(bin string, cpu int, w Workload, dataDir string) (*server, time.Duration, error) {
+func startServer(bin, dataDir string) (*server, time.Duration, error) {
 	addr, err := freeAddr()
 	if err != nil {
 		return nil, 0, err
 	}
-	args := []string{"-c", strconv.Itoa(cpu), bin, "-addr", addr, "-lazy=false"}
+	args := []string{"-c", strconv.Itoa(serverCPU), bin, "-addr", addr, "-lazy=false"}
 	if dataDir != "" {
 		args = append(args, "-data-dir", dataDir, "-fsync", "always")
 	}
@@ -47,11 +51,25 @@ func startServer(bin string, cpu int, w Workload, dataDir string) (*server, time
 	s.cmd = exec.Command("taskset", args...)
 	// topkd dies with the benchmark, even when the benchmark is killed.
 	s.cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
-	s.cmd.Stdout = io.Discard
-	s.cmd.Stderr = os.Stderr
+	s.cmd.Stderr = os.Stderr // stdout stays on the null device
 	t0 := time.Now()
 	if err := s.cmd.Start(); err != nil {
 		return nil, 0, fmt.Errorf("start topkd: %w", err)
+	}
+	// Poll without sleeping: the benchmark has its own CPU, and a timer
+	// sleep can wake milliseconds late on a busy VM, which would be timed
+	// as set-up. A refused connect is cheap; the HTTP client, which
+	// allocates on every try, waits until topkd listens.
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err == nil {
+			c.Close()
+			break
+		}
+		if time.Since(t0) > 60*time.Second {
+			s.stop()
+			return nil, 0, fmt.Errorf("topkd on %s not listening after 60s: %v", addr, err)
+		}
 	}
 	for {
 		resp, err := s.hc.Get("http://" + addr + "/healthz")
@@ -66,7 +84,6 @@ func startServer(bin string, cpu int, w Workload, dataDir string) (*server, time
 			s.stop()
 			return nil, 0, fmt.Errorf("topkd on %s not ready after 60s: %v", addr, err)
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 

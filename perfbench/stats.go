@@ -21,12 +21,18 @@ func median(xs []float64) float64 {
 	return quantile(s, 0.5)
 }
 
-// tailPercentile is the highest of the configured percentiles with at
-// least minBeyond of n samples beyond it.
-func tailPercentile(pcts []float64, minBeyond, n int) float64 {
-	best := pcts[0]
-	for _, p := range pcts {
-		if float64(n)*(1-p/100) >= float64(minBeyond) {
+// tailPercentiles are the candidates for a latency tail: the highest one
+// with at least tailMinBeyond samples beyond it is reported.
+var tailPercentiles = []float64{50, 90, 99, 99.9, 99.99}
+
+const tailMinBeyond = 10
+
+// tailPercentile is the highest of tailPercentiles with at least
+// tailMinBeyond of n samples beyond it.
+func tailPercentile(n int) float64 {
+	best := tailPercentiles[0]
+	for _, p := range tailPercentiles {
+		if float64(n)*(1-p/100) >= tailMinBeyond {
 			best = p
 		}
 	}
@@ -35,7 +41,7 @@ func tailPercentile(pcts []float64, minBeyond, n int) float64 {
 
 // tailStat is a latency tail made steady: the samples are split into
 // consecutive windows (by due time); in each window the highest
-// percentile with at least minBeyond samples beyond it is taken, and the
+// percentile with at least tailMinBeyond samples beyond it is taken, and the
 // median over windows is reported with that percentile and the
 // per-window sample count.
 type tailStat struct {
@@ -51,7 +57,7 @@ type sample struct {
 	ms  float64
 }
 
-func computeTail(samples []sample, start, window int64, pcts []float64, minBeyond int) tailStat {
+func computeTail(samples []sample, start, window int64) tailStat {
 	if len(samples) == 0 || window <= 0 {
 		return tailStat{}
 	}
@@ -66,7 +72,7 @@ func computeTail(samples []sample, start, window int64, pcts []float64, minBeyon
 	for _, xs := range byWin {
 		smallest = min(smallest, len(xs))
 	}
-	p := tailPercentile(pcts, minBeyond, smallest)
+	p := tailPercentile(smallest)
 	var vals []float64
 	for _, xs := range byWin {
 		sort.Float64s(xs)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -10,52 +11,102 @@ import (
 	"sort"
 	"strconv"
 
-	"topkmon/internal/cluster"
-	"topkmon/internal/eps"
-	"topkmon/internal/lockstep"
-	"topkmon/internal/protocol"
 	"topkmon/internal/serve"
 	"topkmon/internal/wal"
 	"topkmon/topk"
 )
 
-// spans is one request's layer spans, in ns, kept in memory until the
-// run ends. The tree is fixed:
+// spans is one request's timings, in ns, kept in memory until the run
+// ends. Three replicas take every request of the recorded trace in turn.
 //
-//	handler (serve.Server.ServeHTTP)
-//	├ decode (serve.DecodeBatch)
-//	└ commit (the CommitBatch sequence, composed on a twin tenant)
-//	  ├ validate (topk.Monitor.ValidateBatch)
-//	  ├ walAppend, walFsync (wal.Log.Append, wal.Log.Sync)
-//	  └ facade (topk.Monitor.UpdateBatch)
-//	    ├ proto (protocol Start/HandleStep, engine calls inside subtracted)
-//	    └ eng[class] (every cluster.Engine call, by class)
+// B and C run it through serve.Server.ServeHTTP: B is an in-process
+// server whose tenants' monitors run on the timing decorators, C a plain
+// one. B's request body stamps when the handler first reads it and B's
+// response writer when the handler starts its response, so B's handler
+// time splits into http.self (start to first body read, plus response
+// start to return) and the work in between.
 //
-// A read has handler and read (TopK, or Cost+Check+Health+Epochs).
-// ServeHTTP cannot be opened from outside, so its children run on a twin
-// tenant that executes the same documented sequence on the same input;
-// the twin's outputs must equal the served ones byte for byte.
+// The twin, a tenant with decorated monitors, runs the sequence
+// CommitBatch documents, each call timed on its own:
+//
+//	decode (serve.DecodeBatch)
+//	commit
+//	├ validate (topk.Monitor.ValidateBatch)
+//	├ walAppend, walFsync (wal.Log.Append, wal.Log.Sync)
+//	└ facade (topk.Monitor.UpdateBatch)
+//	  ├ proto (protocol Start/HandleStep, engine calls inside subtracted)
+//	  └ eng[class] (every cluster.Engine call, by class)
+//
+// A read has read (TopK, or Cost+Check+Health+Epochs) instead. The
+// layers take http.self from B and the rest from the twin; their sum is
+// checked against B's handler time, which is measured on its own.
 type spans struct {
-	kind                                         uint8
-	handler, decode, commit, validate, walAppend int64
-	walFsync, facade, protoSelf, read, walBytes  int64
-	eng                                          [numEngClasses]int64
+	kind uint8
+	// Served replay: B's handler wall time, B's process CPU time over it,
+	// B's http.self, C's process CPU time.
+	handler, cpu, httpSelf, plain int64
+	// Composed replay.
+	decode, commit, validate, walAppend int64
+	walFsync, facade, protoSelf, read   int64
+	walBytes                            int64
+	eng                                 [numEngClasses]int64
 }
 
-// recorder is a minimal reusable http.ResponseWriter.
+// recorder is a minimal reusable http.ResponseWriter. With stamp set it
+// records when the handler starts its response.
 type recorder struct {
 	h      http.Header
 	status int
 	body   bytes.Buffer
+	stamp  bool
+	wrote  int64
 }
 
-func (r *recorder) Header() http.Header         { return r.h }
-func (r *recorder) WriteHeader(s int)           { r.status = s }
-func (r *recorder) Write(b []byte) (int, error) { return r.body.Write(b) }
+func (r *recorder) Header() http.Header { return r.h }
+func (r *recorder) WriteHeader(s int)   { r.mark(); r.status = s }
+func (r *recorder) Write(b []byte) (int, error) {
+	r.mark()
+	return r.body.Write(b)
+}
+func (r *recorder) mark() {
+	if r.stamp && r.wrote == 0 {
+		r.wrote = monoNow()
+	}
+}
 func (r *recorder) reset() {
 	clear(r.h)
 	r.status = http.StatusOK
 	r.body.Reset()
+	r.wrote = 0
+}
+
+// timedBody is a request body that stamps when it is first read.
+type timedBody struct {
+	r     bytes.Reader
+	first int64
+}
+
+func (b *timedBody) Read(p []byte) (int, error) {
+	if b.first == 0 {
+		b.first = monoNow()
+	}
+	return b.r.Read(p)
+}
+
+func (b *timedBody) Close() error { return nil }
+
+// cpuFloor is the CPU time an empty interval reads when timed the way
+// the served replay times a request: the clocks' own cost, subtracted
+// from every request.
+func cpuFloor() int64 {
+	xs := make([]float64, 1001)
+	for i := range xs {
+		c0 := cpuNow()
+		t0 := monoNow()
+		_ = monoNow() - t0
+		xs[i] = float64(cpuNow() - c0)
+	}
+	return int64(median(xs))
 }
 
 // inproc is one in-process replica: a serve.Server (optionally on a data
@@ -87,6 +138,25 @@ func newInproc(w Workload, dir string) (*inproc, error) {
 	return p, nil
 }
 
+// decorate replaces every tenant's monitor with one on the timing
+// decorators, configured and seeded alike. It runs before any update, so
+// the served outputs do not change.
+func (p *inproc) decorate(w Workload, st *engineStats) error {
+	for i := 0; i < w.Tenants; i++ {
+		t, err := p.srv.Pool().Get(tenantName(i))
+		if err != nil {
+			return err
+		}
+		m, err := newTracedMonitor(w, i, st)
+		if err != nil {
+			return err
+		}
+		t.Mon.Close()
+		t.Mon = m
+	}
+	return nil
+}
+
 func (p *inproc) do(method, path string, body []byte, want int) ([]byte, error) {
 	req, err := http.NewRequest(method, "http://topkd"+path, bytes.NewReader(body))
 	if err != nil {
@@ -100,38 +170,43 @@ func (p *inproc) do(method, path string, body []byte, want int) ([]byte, error) 
 	return append([]byte(nil), p.rec.body.Bytes()...), nil
 }
 
-// httpRequests builds the replay's *http.Request values ahead of timing.
-func httpRequests(reqs []request) ([]*http.Request, error) {
+// httpRequests builds the replay's *http.Request values, and their
+// bodies, ahead of timing.
+func httpRequests(reqs []request) ([]*http.Request, []*timedBody, error) {
 	out := make([]*http.Request, len(reqs))
+	bodies := make([]*timedBody, len(reqs))
 	for i := range reqs {
 		method := http.MethodGet
 		if reqs[i].kind == kindWrite {
 			method = http.MethodPost
 		}
-		r, err := http.NewRequest(method, "http://topkd"+reqs[i].path(), bytes.NewReader(reqs[i].wire[reqs[i].body:]))
+		body := reqs[i].wire[reqs[i].body:]
+		bodies[i] = &timedBody{}
+		bodies[i].r.Reset(body)
+		r, err := http.NewRequest(method, "http://topkd"+reqs[i].path(), bodies[i])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		r.ContentLength = int64(len(body))
 		out[i] = r
 	}
-	return out, nil
+	return out, bodies, nil
 }
 
-// serveAll replays reqs through p's handler, returning the wall time of
-// each request (nil times: untimed).
-func (p *inproc) serveAll(reqs []request, hreqs []*http.Request, times []int64) error {
-	for i, hr := range hreqs {
-		p.rec.reset()
-		t0 := monoNow()
-		p.srv.ServeHTTP(&p.rec, hr)
-		if times != nil {
-			times[i] = monoNow() - t0
-		}
-		if p.rec.status != http.StatusOK {
-			return fmt.Errorf("in-process %s: status %d: %s", reqs[i].path(), p.rec.status, p.rec.body.Bytes())
-		}
+// serve runs one request through p's handler. It returns when the
+// handler started and returned, and the process CPU time in between less
+// floor (see cpuFloor).
+func (p *inproc) serve(q *request, hr *http.Request, floor int64) (t0, t1, cpu int64, err error) {
+	p.rec.reset()
+	c0 := cpuNow()
+	t0 = monoNow()
+	p.srv.ServeHTTP(&p.rec, hr)
+	t1 = monoNow()
+	cpu = cpuNow() - c0 - floor
+	if p.rec.status != http.StatusOK {
+		err = fmt.Errorf("in-process %s: status %d: %s", q.path(), p.rec.status, p.rec.body.Bytes())
 	}
-	return nil
+	return t0, t1, cpu, err
 }
 
 func (p *inproc) get(path string) ([]byte, error) {
@@ -139,8 +214,8 @@ func (p *inproc) get(path string) ([]byte, error) {
 }
 
 // twin runs CommitBatch's documented sequence — ValidateBatch →
-// wal.Log.Append (+ Sync) → UpdateBatch — on directly built monitors.
-// With st set, the monitors run on timing decorators.
+// wal.Log.Append (+ Sync) → UpdateBatch — on directly built monitors on
+// the timing decorators.
 type twin struct {
 	mons []*topk.Monitor
 	logs []*wal.Log
@@ -158,27 +233,8 @@ func newTwin(w Workload, walDir string, st *engineStats) (*twin, error) {
 			return nil, err
 		}
 	}
-	num, den, err := w.epsParts()
-	if err != nil {
-		return nil, err
-	}
-	e, err := eps.New(num, den)
-	if err != nil {
-		return nil, err
-	}
 	for i := 0; i < w.Tenants; i++ {
-		var opts []topk.Option
-		if st != nil {
-			if w.Monitor != "approx" {
-				return nil, fmt.Errorf("traced run supports monitor approx, not %q", w.Monitor)
-			}
-			opts = append(opts,
-				topk.WithClusterEngine(&timedEngine{e: lockstep.New(w.Nodes, tenantSeed(i)), st: st}),
-				topk.WithMonitorFunc(func(c cluster.Cluster) protocol.Monitor {
-					return &timedProtocol{m: protocol.NewApprox(c, w.K, e), st: st}
-				}))
-		}
-		m, err := newTenantMonitor(w, i, opts...)
+		m, err := newTracedMonitor(w, i, st)
 		if err != nil {
 			return nil, err
 		}
@@ -210,14 +266,8 @@ func (t *twin) close() {
 	}
 }
 
-// apply runs one request on the twin. With sp set, each call is timed
-// into it.
-func (t *twin) apply(q *request, buf []topk.Update, sp *spans) ([]topk.Update, error) {
-	var untimed spans
-	s := sp
-	if s == nil {
-		s = &untimed
-	}
+// apply runs one request on the twin, timing each call into s.
+func (t *twin) apply(q *request, buf []topk.Update, s *spans) ([]topk.Update, error) {
 	m := t.mons[q.tenant]
 	t0 := monoNow()
 	switch q.kind {
@@ -261,10 +311,7 @@ func (t *twin) apply(q *request, buf []topk.Update, sp *spans) ([]topk.Update, e
 		s.walAppend, s.walFsync = tb-ta, tc-tb
 		s.walBytes = l.Size() - before
 	}
-	var e0 engineStats
-	if t.st != nil {
-		e0 = *t.st
-	}
+	e0 := *t.st
 	tf := monoNow()
 	if err := m.UpdateBatch(batch); err != nil {
 		return batch, err
@@ -272,12 +319,10 @@ func (t *twin) apply(q *request, buf []topk.Update, sp *spans) ([]topk.Update, e
 	end := monoNow()
 	s.facade = end - tf
 	s.commit = end - t1
-	if t.st != nil {
-		for c := range s.eng {
-			s.eng[c] = t.st.ns[c] - e0.ns[c]
-		}
-		s.protoSelf = (t.st.protoNs - e0.protoNs) - (t.st.protoEg - e0.protoEg)
+	for c := range s.eng {
+		s.eng[c] = t.st.ns[c] - e0.ns[c]
 	}
+	s.protoSelf = (t.st.protoNs - e0.protoNs) - (t.st.protoEg - e0.protoEg)
 	return batch, nil
 }
 
@@ -292,6 +337,11 @@ func mallocs() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.Mallocs
 }
+
+// reconcileTolerance is how far the layer sum may stray from B's handler
+// time, as a share of it, before the run notes that the layers do not
+// reconcile.
+const reconcileTolerance = 0.1
 
 // runTraced replays the recorded fixed-rate trace in-process, layer by
 // layer, and reports the per-layer budget.
@@ -318,27 +368,27 @@ func runTraced(r *servedRun, fixed []request, servedCPUPerReq float64, served []
 		return filepath.Join(r.dir, name)
 	}
 
-	// A: untraced handler replay — the in-process per-request total that
-	// served CPU is compared with, and the handler's allocations.
+	// Allocations, each counted on a pass of its own: the handler on a
+	// plain server, decode alone, UpdateBatch alone on plain monitors.
 	a, err := newInproc(w, sub("a"))
 	if err != nil {
 		return err
 	}
-	hreqs, err := httpRequests(reqs)
+	hreqs, _, err := httpRequests(reqs)
 	if err != nil {
 		return err
 	}
 	m0 := mallocs()
-	t0 := monoNow()
-	err = a.serveAll(reqs, hreqs, nil)
-	handlerUntraced := float64(monoNow()-t0) / 1e3 / nreq
+	for i := range reqs {
+		if _, _, _, err = a.serve(&reqs[i], hreqs[i], 0); err != nil {
+			break
+		}
+	}
 	httpAllocs := float64(mallocs()-m0) / nreq
 	a.srv.Close()
 	if err != nil {
 		return err
 	}
-
-	// D: decode alone, for its allocations.
 	buf := make([]topk.Update, 0, 256)
 	m0 = mallocs()
 	for _, i := range writes {
@@ -351,88 +401,106 @@ func runTraced(r *servedRun, fixed []request, servedCPUPerReq float64, served []
 	for _, i := range writes {
 		bodyBytes += len(reqs[i].wire) - reqs[i].body
 	}
-
-	// F: UpdateBatch alone on fresh monitors, for its allocations.
-	f, err := newTwin(w, "", nil)
-	if err != nil {
-		return err
+	plainMons := make([]*topk.Monitor, w.Tenants)
+	for i := range plainMons {
+		if plainMons[i], err = newTenantMonitor(w, i); err != nil {
+			return err
+		}
+		defer plainMons[i].Close()
 	}
 	m0 = mallocs()
 	for _, i := range writes {
-		if err := f.mons[reqs[i].tenant].UpdateBatch(reqs[i].batch); err != nil {
+		if err := plainMons[reqs[i].tenant].UpdateBatch(reqs[i].batch); err != nil {
 			return err
 		}
 	}
 	facadeAllocs := float64(mallocs()-m0) / nw
-	f.close()
 
-	// C: the traced pass's work without spans or decorators, for the
-	// tracing overhead.
+	// The replays run request by request, side by side: C (plain), B
+	// (decorated, stamped) and the twin, in an order that rotates, so that
+	// none always meets the others' warm caches and all three see the
+	// same disk and the same host.
 	c, err := newInproc(w, sub("c"))
 	if err != nil {
 		return err
 	}
-	ct, err := newTwin(w, sub("cw"), nil)
-	if err != nil {
-		return err
-	}
-	if hreqs, err = httpRequests(reqs); err != nil {
-		return err
-	}
-	t0 = monoNow()
-	for i := range reqs {
-		if err := c.serveAll(reqs[i:i+1], hreqs[i:i+1], nil); err != nil {
-			return err
-		}
-		if buf, err = ct.apply(&reqs[i], buf, nil); err != nil {
-			return err
-		}
-	}
-	untracedTotal := monoNow() - t0
-	c.srv.Close()
-	ct.close()
-
-	// B: the traced pass.
-	st := &engineStats{}
+	defer c.srv.Close()
 	b, err := newInproc(w, sub("b"))
 	if err != nil {
 		return err
 	}
 	defer b.srv.Close()
-	bt, err := newTwin(w, sub("bw"), st)
+	if err := b.decorate(w, &engineStats{}); err != nil {
+		return err
+	}
+	b.rec.stamp = true
+	creqs, _, err := httpRequests(reqs)
 	if err != nil {
 		return err
 	}
-	defer bt.close()
-	if hreqs, err = httpRequests(reqs); err != nil {
+	breqs, bodies, err := httpRequests(reqs)
+	if err != nil {
 		return err
 	}
+	floor := cpuFloor()
 	sp := make([]spans, len(reqs))
-	times := make([]int64, 1)
-	t0 = monoNow()
-	for i := range reqs {
-		if err := b.serveAll(reqs[i:i+1], hreqs[i:i+1], times); err != nil {
+	serveB := func(i int) error {
+		q, s := &reqs[i], &sp[i]
+		t0, t1, cpu, err := b.serve(q, breqs[i], floor)
+		if err != nil {
 			return err
 		}
+		if b.rec.wrote == 0 || (q.kind == kindWrite && bodies[i].first == 0) {
+			return fmt.Errorf("in-process %s: handler left the body unread or the response unwritten", q.path())
+		}
+		s.handler, s.cpu = t1-t0, cpu
+		s.httpSelf = t1 - b.rec.wrote
+		if q.kind == kindWrite {
+			s.httpSelf += bodies[i].first - t0
+		}
+		return nil
+	}
+	serveC := func(i int) (err error) {
+		_, _, sp[i].plain, err = c.serve(&reqs[i], creqs[i], floor)
+		return err
+	}
+	st := &engineStats{}
+	tw, err := newTwin(w, sub("twin"), st)
+	if err != nil {
+		return err
+	}
+	defer tw.close()
+	compose := func(i int) (err error) {
+		buf, err = tw.apply(&reqs[i], buf, &sp[i])
+		return err
+	}
+	order := []func(int) error{serveC, serveB, compose}
+	for i := range reqs {
 		sp[i].kind = reqs[i].kind
-		sp[i].handler = times[0]
-		if buf, err = bt.apply(&reqs[i], buf, &sp[i]); err != nil {
-			return err
+		for j := range order {
+			if err := order[(i+j)%len(order)](i); err != nil {
+				return err
+			}
 		}
 	}
-	tracedTotal := monoNow() - t0
 
-	// The composed sequence and the served handler must agree byte for
-	// byte; with the whole trace replayed, so must topkd.
+	// C, B and the twin must agree byte for byte; with the whole trace
+	// replayed, so must topkd.
 	bs, err := scrape(w.Tenants, b.get)
 	if err != nil {
 		return err
 	}
+	cs, err := scrape(w.Tenants, c.get)
+	if err != nil {
+		return err
+	}
 	for i := range bs {
-		comp := bt.render(i)
-		if !bytes.Equal(bs[i][0], comp[0]) || !bytes.Equal(bs[i][1], comp[1]) {
-			return fmt.Errorf("%s: composed twin differs from the in-process server:\n served %s%s composed %s%s",
-				tenantName(i), bs[i][0], bs[i][1], comp[0], comp[1])
+		comp := tw.render(i)
+		for _, other := range [][2][]byte{cs[i], comp} {
+			if !bytes.Equal(bs[i][0], other[0]) || !bytes.Equal(bs[i][1], other[1]) {
+				return fmt.Errorf("%s: in-process replays differ:\n decorated server %s%s other %s%s",
+					tenantName(i), bs[i][0], bs[i][1], other[0], other[1])
+			}
 		}
 		if len(reqs) == len(fixed) && (!bytes.Equal(bs[i][0], served[i][0]) || !bytes.Equal(bs[i][1], served[i][1])) {
 			return fmt.Errorf("%s: in-process replay differs from topkd", tenantName(i))
@@ -454,20 +522,21 @@ func runTraced(r *servedRun, fixed []request, servedCPUPerReq float64, served []
 
 	var sum spans
 	var fsyncs []float64
-	var nreads, ntopk, ncost float64
+	var ntopk, ncost float64
 	var topkNs, costNs int64
 	for i := range sp {
 		s := &sp[i]
 		sum.handler += s.handler
+		sum.cpu += s.cpu
+		sum.httpSelf += s.httpSelf
+		sum.plain += s.plain
 		switch s.kind {
 		case kindTopK:
-			nreads++
 			ntopk++
 			topkNs += s.read
 			sum.read += s.read
 			continue
 		case kindCost:
-			nreads++
 			ncost++
 			costNs += s.read
 			sum.read += s.read
@@ -503,25 +572,25 @@ func runTraced(r *servedRun, fixed []request, servedCPUPerReq float64, served []
 	}
 	facadeSelf := sum.facade - sum.protoSelf - engTotal
 	commitSelf := sum.commit - sum.validate - sum.walAppend - sum.walFsync - sum.facade
-	httpSelf := sum.handler - sum.decode - sum.commit - sum.read
+	layerSum := sum.httpSelf + sum.decode + sum.commit + sum.read
+	unexplained := float64(sum.handler-layerSum) / float64(sum.handler)
 
-	// Epochs, messages and rounds come from the traced twin's counters.
+	// Epochs, messages and rounds come from the twin's counters.
 	var epochs, msgs, rounds int64
-	for _, m := range bt.mons {
+	for _, m := range tw.mons {
 		epochs += m.Epochs()
 		c := m.Cost()
 		msgs += c.Messages
 		rounds = max(rounds, c.MaxRoundsPerStep)
 	}
-	var calls, reports int64
+	var calls int64
 	for _, n := range st.calls {
 		calls += n
 	}
-	reports = st.reports
 
-	rep.layer("transport.us_per_req", servedCPUPerReq-handlerUntraced, "us")
+	rep.layer("transport.us_per_req", servedCPUPerReq-perReq(sum.cpu), "us")
 	rep.layer("http.handler_us_per_req", perReq(sum.handler), "us")
-	rep.layer("http.self_us_per_req", perReq(httpSelf), "us")
+	rep.layer("http.self_us_per_req", perReq(sum.httpSelf), "us")
 	rep.layer("http.allocs_per_req", httpAllocs, "allocs")
 	rep.layer("decode.us_per_req", perStep(sum.decode), "us")
 	rep.layer("decode.ns_per_update", float64(sum.decode)/float64(updates), "ns")
@@ -540,15 +609,22 @@ func runTraced(r *servedRun, fixed []request, servedCPUPerReq float64, served []
 	rep.layer("facade.allocs_per_step", facadeAllocs, "allocs")
 	rep.layer("read.topk_us", perN(topkNs, ntopk), "us")
 	rep.layer("read.cost_us", perN(costNs, ncost), "us")
-	reportEngine(rep, st, sum.protoSelf, epochs, msgs, rounds, calls, reports, nw)
-	rep.layer("trace.inprocess_us_per_req", handlerUntraced, "us")
-	rep.layer("trace.overhead_frac", float64(tracedTotal-untracedTotal)/float64(untracedTotal), "ratio")
-	rep.note("traced %d requests (%d writes, %.0f reads); self times sum to the handler: http %.2f + decode %.2f + commit.self %.2f + validate %.2f + wal %.2f + facade.self %.2f + protocol %.2f + engine %.2f + read %.2f = %.2f us/req",
-		len(reqs), len(writes), nreads, perReq(httpSelf), perReq(sum.decode), perReq(commitSelf), perReq(sum.validate),
+	reportEngine(rep, st, sum.protoSelf, epochs, msgs, rounds, calls, st.reports, nw)
+	rep.layer("trace.inprocess_us_per_req", perReq(sum.cpu), "us")
+	rep.layer("trace.overhead_frac", float64(sum.cpu-sum.plain)/float64(sum.plain), "ratio")
+	rep.layer("trace.unexplained_frac", math.Abs(unexplained), "ratio")
+	verdict := "within"
+	if math.Abs(unexplained) > reconcileTolerance {
+		verdict = "OUTSIDE"
+	}
+	rep.note("traced %d requests (%d writes, %.0f reads); layer sum http.self %.2f + decode %.2f + commit.self %.2f + validate %.2f + wal %.2f + facade.self %.2f + protocol %.2f + engine %.2f + read %.2f = %.2f us/req against the decorated handler's %.2f us/req: %+.3f unexplained, %s the %.2f tolerance",
+		len(reqs), len(writes), ntopk+ncost, perReq(sum.httpSelf), perReq(sum.decode), perReq(commitSelf), perReq(sum.validate),
 		perReq(sum.walAppend+sum.walFsync), perReq(facadeSelf), perReq(sum.protoSelf), perReq(engTotal), perReq(sum.read),
-		perReq(httpSelf+sum.decode+commitSelf+sum.validate+sum.walAppend+sum.walFsync+facadeSelf+sum.protoSelf+engTotal+sum.read))
+		perReq(layerSum), perReq(sum.handler), unexplained, verdict, reconcileTolerance)
+	rep.note("served CPU %.2f us/req = transport %.2f + in-process CPU %.2f (decorated handler; the plain one's CPU is %.2f)",
+		servedCPUPerReq, servedCPUPerReq-perReq(sum.cpu), perReq(sum.cpu), perReq(sum.plain))
 	largest(rep, map[string]int64{
-		"http.self": httpSelf, "decode": sum.decode, "commit.self": commitSelf, "validate": sum.validate,
+		"http.self": sum.httpSelf, "decode": sum.decode, "commit.self": commitSelf, "validate": sum.validate,
 		"wal.append": sum.walAppend, "wal.fsync": sum.walFsync, "facade.self": facadeSelf,
 		"protocol.self": sum.protoSelf, "engine": engTotal,
 	})
@@ -589,10 +665,10 @@ func largest(rep *report, spans map[string]int64) {
 // writeSpans writes the per-request spans out as CSV, in ns.
 func writeSpans(path string, sp []spans) error {
 	var b bytes.Buffer
-	b.WriteString("req,kind,handler,decode,commit,validate,wal_append,wal_fsync,facade,protocol_self,read,advance,sweep,collect,maxfind,send\n")
+	b.WriteString("req,kind,handler,cpu,http_self,plain_cpu,decode,commit,validate,wal_append,wal_fsync,facade,protocol_self,read,advance,sweep,collect,maxfind,send\n")
 	for i, s := range sp {
 		b.WriteString(strconv.Itoa(i))
-		for _, v := range []int64{int64(s.kind), s.handler, s.decode, s.commit, s.validate, s.walAppend, s.walFsync, s.facade, s.protoSelf, s.read,
+		for _, v := range []int64{int64(s.kind), s.handler, s.cpu, s.httpSelf, s.plain, s.decode, s.commit, s.validate, s.walAppend, s.walFsync, s.facade, s.protoSelf, s.read,
 			s.eng[0], s.eng[1], s.eng[2], s.eng[3], s.eng[4]} {
 			b.WriteByte(',')
 			b.WriteString(strconv.FormatInt(v, 10))
