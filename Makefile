@@ -6,10 +6,11 @@
 #   test2json event stream in $(BENCH_OUT) (default BENCH_local.json)
 #   alongside the human-readable console lines. Committed snapshots record
 #   the trajectory across PRs — BENCH_PR1.json (lockstep/oracle zero-alloc
-#   baseline), BENCH_PR2.json (live-engine batching + engine Reset reuse),
-#   BENCH_PR3.json (value-indexed sharded node state: the σ-scaling table
-#   from `make bench-selectivity`), BENCH_PR7.json (filter-interval mirror:
-#   the violation-sweep before/after from `make bench-violation`) — and
+#   baseline), BENCH_PR2.json (batching of a concurrent engine no product path builds now
+#   + engine Reset reuse), BENCH_PR3.json (value-indexed node state: the
+#   σ-scaling table from `make bench-selectivity`), BENCH_PR7.json
+#   (filter-interval mirror: the violation-sweep before/after from
+#   `make bench-violation`) — and
 #   future PRs diff against them with benchstat or jq, e.g.:
 #     jq -r 'select(.Action=="output") | .Output' BENCH_PR2.json | grep Benchmark
 #   `make bench-smoke` is the CI-speed variant (one iteration per
@@ -125,10 +126,10 @@ fuzz:
 
 # cover prints per-package statement coverage for the engine-core packages
 # the violation-routing test matrix concentrates on — the index + mirror,
-# both engines, and the fault layer — plus the sketch leaf the item layer
+# the engine, and the fault layer — plus the sketch leaf the item layer
 # stands on. CI publishes the same table.
 cover:
-	$(GO) test -cover ./internal/vindex/ ./internal/lockstep/ ./internal/live/ ./internal/faults/ ./internal/sketch/
+	$(GO) test -cover ./internal/vindex/ ./internal/lockstep/ ./internal/faults/ ./internal/sketch/
 
 check: build fmt-check vet api-check test
 
@@ -136,9 +137,8 @@ check: build fmt-check vet api-check test
 # JSON (test2json event stream) in $(BENCH_OUT) alongside the human-readable
 # console output — the format future PRs diff with benchstat / jq. Every
 # run is stamped with a "bench-env:" line (TestMain in benchenv_test.go)
-# recording go version, GOOS/GOARCH, GOMAXPROCS, NumCPU, and the live
-# engine's default worker-shard count, so multi-core claims stay
-# attributable when CI hardware changes.
+# recording go version, GOOS/GOARCH, GOMAXPROCS, and NumCPU, so multi-core
+# claims stay attributable when CI hardware changes.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -json . > $(BENCH_OUT)
 	@grep -o '"Output":"Benchmark[^"]*"' $(BENCH_OUT) | sed -e 's/^"Output":"//' -e 's/"$$//' -e 's/\\t/\t/g' -e 's/\\n//'
@@ -148,7 +148,7 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem .
 
-# bench-selectivity emits the σ-scaling table of the value-indexed engines
+# bench-selectivity emits the σ-scaling table of the value-indexed engine
 # (BenchmarkSweepSelectivity: collect/sweep latency vs σ at fixed n, vs n at
 # fixed σ, and the full-scan fallbacks) as test2json into $(BENCH_SEL_OUT).
 # The committed snapshot of this table — annotated with environment and

@@ -151,9 +151,9 @@ func BenchmarkViolationSweep(b *testing.B) {
 // same workload experiment E12 pins deterministic visit counts on).
 var hotRange = exp.HotInterval()
 
-// BenchmarkSweepSelectivity measures how the value-indexed engines' scan
-// cost follows the plausible-matcher count σ instead of n (the ROADMAP
-// "sharded server state" item; BENCH_PR3.json records the trajectory):
+// BenchmarkSweepSelectivity measures how the value-indexed engine's scan
+// cost follows the plausible-matcher count σ instead of n (BENCH_PR3.json
+// records the trajectory):
 //
 //   - collect/n=…/σ=… — latency grows with σ at fixed n and stays
 //     near-flat in n at fixed σ;
@@ -421,9 +421,8 @@ func BenchmarkMonitorStep(b *testing.B) {
 
 // BenchmarkFacadePush measures one pushed time step through the PUBLIC
 // topk facade (n=64, k=8, drifting walk batched as one UpdateBatch per
-// step) on both engines — the embedder-visible form of
-// BenchmarkMonitorStep. 0 allocs/op is the enforced budget
-// (topk's TestFacadeStepAllocs).
+// step) — the embedder-visible form of BenchmarkMonitorStep. 0 allocs/op
+// is the enforced budget (topk's TestFacadeStepAllocs).
 func BenchmarkFacadePush(b *testing.B) {
 	const n, k, pregen = 64, 8, 1024
 	gen := stream.NewWalk(n, 100000, 500, 1<<24, 13)
@@ -435,34 +434,22 @@ func BenchmarkFacadePush(b *testing.B) {
 			batches[t][i] = topk.Update{Node: i, Value: v}
 		}
 	}
-	engines := []struct {
-		name string
-		opts []topk.Option
-	}{
-		{"lockstep", nil},
-		{"live", []topk.Option{topk.WithEngine(topk.Live)}},
+	m, err := topk.New(k, topk.MustEpsilon(1, 8), topk.WithNodes(n), topk.WithSeed(5))
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, eng := range engines {
-		b.Run(eng.name, func(b *testing.B) {
-			opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(5)}, eng.opts...)
-			m, err := topk.New(k, topk.MustEpsilon(1, 8), opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			for i := 0; i < 64; i++ {
-				if err := m.UpdateBatch(batches[i%pregen]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.UpdateBatch(batches[i%pregen]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	defer m.Close()
+	for i := 0; i < 64; i++ {
+		if err := m.UpdateBatch(batches[i%pregen]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.UpdateBatch(batches[i%pregen]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

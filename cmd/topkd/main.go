@@ -10,8 +10,8 @@
 //
 // Usage:
 //
-//	topkd [-addr :7070] [-n 64] [-k 4] [-eps 1/8] [-engine lockstep]
-//	      [-shards 0] [-monitor approx] [-seed 1] [-faults spec]
+//	topkd [-addr :7070] [-n 64] [-k 4] [-eps 1/8] [-monitor approx]
+//	      [-seed 1] [-faults spec]
 //	      [-lazy] [-max-tenants 0] [-max-batch 65536]
 //	      [-data-dir DIR] [-fsync always|interval|never] [-snapshot-every 1024]
 //
@@ -26,7 +26,7 @@
 //
 // The API (see internal/serve for the full route table):
 //
-//	curl -XPUT localhost:7070/v1/web -d '{"nodes":128,"k":8,"engine":"live"}'
+//	curl -XPUT localhost:7070/v1/web -d '{"nodes":128,"k":8,"monitor":"approx"}'
 //	curl -XPOST localhost:7070/v1/web/update -d '[{"node":0,"value":500}]'
 //	curl localhost:7070/v1/web/topk
 //	curl localhost:7070/v1/web/cost
@@ -56,8 +56,6 @@ func main() {
 	n := flag.Int("n", 64, "default nodes per tenant")
 	k := flag.Int("k", 4, "default size of the monitored top set")
 	epsStr := flag.String("eps", "1/8", "default allowed error ε as a fraction p/q")
-	engine := flag.String("engine", "lockstep", "default engine: lockstep | live")
-	shards := flag.Int("shards", 0, "default live-engine worker shards (0 = GOMAXPROCS)")
 	monitor := flag.String("monitor", "approx",
 		"default algorithm: approx|topk|exact|dense|half-eps|naive|mid-naive")
 	seed := flag.Uint64("seed", 1, "default random seed")
@@ -74,9 +72,6 @@ func main() {
 	// Validate the default config eagerly — a typo should fail the boot,
 	// not the first tenant creation.
 	if _, err := topk.ParseEpsilon(*epsStr); err != nil {
-		fail(err)
-	}
-	if _, err := topk.ParseEngine(*engine); err != nil {
 		fail(err)
 	}
 	if _, err := topk.ParseAlgorithm(*monitor); err != nil {
@@ -99,8 +94,8 @@ func main() {
 
 	srv, err := serve.New(serve.Options{
 		Defaults: serve.Config{
-			Nodes: *n, K: *k, Eps: *epsStr, Engine: *engine, Shards: *shards,
-			Monitor: *monitor, Seed: *seed, Faults: faults,
+			Nodes: *n, K: *k, Eps: *epsStr, Monitor: *monitor, Seed: *seed,
+			Faults: faults,
 		},
 		Lazy:       *lazy,
 		MaxTenants: *maxTenants,
@@ -117,8 +112,8 @@ func main() {
 	go func() { done <- hs.ListenAndServe() }()
 
 	d := srv.Pool().Defaults()
-	fmt.Printf("topkd: listening on %s (defaults: n=%d k=%d ε=%s engine=%s monitor=%s seed=%d lazy=%v)\n",
-		*addr, d.Nodes, d.K, d.Eps, d.Engine, d.Monitor, d.Seed, *lazy)
+	fmt.Printf("topkd: listening on %s (defaults: n=%d k=%d ε=%s monitor=%s seed=%d lazy=%v)\n",
+		*addr, d.Nodes, d.K, d.Eps, d.Monitor, d.Seed, *lazy)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -1,7 +1,7 @@
 // Command topkmon runs a live ε-Top-k monitoring session against the
 // public topk API: a local workload source pushes one batch of observations
-// per tick into an embeddable topk.Monitor (lockstep or live engine, any of
-// the paper's algorithms), every output is validated against the built-in
+// per tick into an embeddable topk.Monitor (any of the paper's
+// algorithms), every output is validated against the built-in
 // referee, and the communication bill is reported as the stream evolves.
 //
 // The command imports ONLY the public topk package — it is the reference
@@ -11,13 +11,12 @@
 // Usage:
 //
 //	topkmon [-n 32] [-k 4] [-eps 1/8] [-steps 2000] [-workload loads]
-//	        [-monitor approx] [-seed 7] [-report 200] [-engine live]
-//	        [-shards 0] [-repeat 1] [-parallel 0] [-faults spec]
+//	        [-monitor approx] [-seed 7] [-report 200] [-repeat 1]
+//	        [-faults spec]
 //
 // With -repeat R the session runs R times on ONE monitor, rewound between
 // sessions with Monitor.Reset(seed+r) — each repetition is bit-identical to
-// a fresh process started with that seed, at none of the construction cost
-// (for the live engine: the worker goroutines are started once).
+// a fresh process started with that seed, at none of the construction cost.
 //
 // With -faults the message layer between server and nodes is perturbed by
 // the deterministic fault injector and the monitor's recovery supervisor is
@@ -34,7 +33,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 
 	"topkmon/topk"
 )
@@ -48,30 +46,17 @@ func main() {
 	monitor := flag.String("monitor", "approx", "algorithm: approx|topk|exact|half-eps|naive|mid-naive")
 	seed := flag.Uint64("seed", 7, "random seed")
 	report := flag.Int("report", 200, "status line every this many steps")
-	engine := flag.String("engine", "live", "engine: live (goroutines) | lockstep")
-	parallel := flag.Int("parallel", 0,
-		"cap OS-level parallelism (GOMAXPROCS) for the live engine's workers; 0 keeps the runtime default")
-	shards := flag.Int("shards", 0,
-		"worker shards for the live engine (each owns n/m nodes and its value-bucket partition); 0 = GOMAXPROCS. Output is bit-identical for every value")
 	repeat := flag.Int("repeat", 1,
 		"run the session this many times, reusing one monitor via Reset(seed+r) between runs")
 	faultSpec := flag.String("faults", "",
 		"deterministic fault injection: comma list of drop=P, dup=P, delay=P, retries=N, crash=NODE@FROM:UNTIL (repeatable)")
 	flag.Parse()
 
-	if *parallel > 0 {
-		runtime.GOMAXPROCS(*parallel)
-	}
-
 	e, err := topk.ParseEpsilon(*epsStr)
 	if err != nil {
 		fail(err)
 	}
 	algo, err := topk.ParseAlgorithm(*monitor)
-	if err != nil {
-		fail(err)
-	}
-	engKind, err := topk.ParseEngine(*engine)
 	if err != nil {
 		fail(err)
 	}
@@ -82,8 +67,7 @@ func main() {
 	}
 
 	m, err := topk.New(*k, e,
-		topk.WithNodes(*n), topk.WithSeed(*seed), topk.WithEngine(engKind),
-		topk.WithShards(*shards), topk.WithMonitor(algo),
+		topk.WithNodes(*n), topk.WithSeed(*seed), topk.WithMonitor(algo),
 		topk.WithFaults(plan))
 	if err != nil {
 		fail(err)
@@ -107,8 +91,8 @@ func main() {
 		if *repeat > 1 {
 			fmt.Printf("=== session %d/%d (seed %d) ===\n", r+1, *repeat, sessionSeed)
 		}
-		fmt.Printf("topkmon: %s on %s, n=%d k=%d ε=%s engine=%s\n",
-			m.AlgorithmName(), gen.name(), *n, *k, e, *engine)
+		fmt.Printf("topkmon: %s on %s, n=%d k=%d ε=%s\n",
+			m.AlgorithmName(), gen.name(), *n, *k, e)
 		runSession(m, gen, *steps, *report, plan != nil)
 	}
 }
@@ -172,8 +156,7 @@ func runSession(m *topk.Monitor, gen *workload, steps, report int, faulty bool) 
 // workload is a seeded local data source: it fills a value vector per tick.
 // The CLI generates its own data (the module's workload generators are
 // simulation scaffolding under internal/); all sources are deterministic
-// per seed, so sessions replay bit for bit and the output is identical for
-// every -shards value.
+// per seed, so sessions replay bit for bit.
 type workload struct {
 	label string
 	step  func(t int, vals []int64)

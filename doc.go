@@ -17,7 +17,7 @@
 // Layout:
 //
 //	topk                the PUBLIC embeddable API: push-based Monitor facade
-//	                    over both engines — the single supported entry point
+//	                    over the engine — the single supported entry point
 //	topk/items          PUBLIC item-monitoring layer: per-node streaming
 //	                    summaries feed the monitor so it tracks top-k ITEMS
 //	                    (heavy hitters) across nodes — consumes only topk
@@ -26,9 +26,14 @@
 //	                    Count-Min) behind one Summary interface; stdlib-only
 //	                    leaf, allocation-free Observe, Reset(seed) replay
 //	internal/protocol   the paper's algorithms (the core contribution)
-//	internal/lockstep   deterministic engine (tests, experiments)
-//	internal/live       sharded concurrent engine (bit-identical semantics)
-//	internal/vindex     value-bucket index shared by both engines
+//	internal/cluster    the engine interface protocols, the fault layer
+//	                    and the harnesses are written against
+//	internal/lockstep   the deterministic engine: the paper's synchronous
+//	                    rounds as loops
+//	internal/vindex     value-bucket index and filter mirror of the engine
+//	internal/live       a sharded concurrent engine no product path builds;
+//	                    kept as a test reference (its tests prove it equals
+//	                    lockstep bit for bit) until it is deleted
 //	internal/offline    the offline optimum OPT (greedy segmentation)
 //	internal/oracle     ground truth + output validation
 //	internal/stream     workloads and adaptive adversaries;
@@ -61,19 +66,18 @@
 //
 // # Performance
 //
-// The simulation hot path is allocation-free in steady state on BOTH
-// engines, enforced by the benchmarks and tests (BenchmarkMonitorStep/*,
-// BenchmarkLiveStep/* + TestLiveStepAllocs, BenchmarkOracle, and the
-// primitive micro-benchmarks all report 0 allocs/op):
+// The simulation hot path is allocation-free in steady state, enforced by
+// the benchmarks and tests (BenchmarkMonitorStep/*, BenchmarkOracle, and
+// the primitive micro-benchmarks all report 0 allocs/op):
 //
 //   - The oracle exposes ComputeInto with a reusable Scratch (persistent
 //     order/neighborhood/validation buffers and a packed-key index sort);
 //     Compute remains as an allocating convenience wrapper. sim.Run,
 //     offline.SigmaMax, and cmd/topkmon hold one Scratch per run.
-//   - Both engines reuse their sweep buffer and double-buffer Collect
+//   - The engine reuses its sweep buffer and double-buffers Collect
 //     results; see the ownership contract on cluster.Cluster. Inspector
 //     has ValuesInto/FiltersInto for per-step snapshots.
-//   - Both engines route Sweep/Collect through a value-bucket index
+//   - The engine routes Sweep/Collect through a value-bucket index
 //     (internal/vindex, maintained incrementally on Advance): only the
 //     nodes plausibly matching the predicate's wire.Pred.Bounds interval
 //     are visited, so scan cost tracks the matcher count σ rather than n
@@ -81,44 +85,35 @@
 //     full-scan fallback for state-decided predicates. Routing is
 //     observably invisible — byte-identical reports, counters, and coin
 //     flips (TestIndexedScanMatchesFullScan).
-//   - The live engine runs m worker shards (default GOMAXPROCS; see
-//     live.WithShards), each owning a contiguous range of nodes and its
-//     bucket partition, and batches directives per step: reply-free
-//     mutations are deferred into a reusable batch that rides along with
-//     the next response-bearing barrier; Collect/sweep matches land in
-//     per-shard report lists, Probe/snapshot replies in per-node slots —
-//     one quiet step wakes m workers instead of n goroutines, no
-//     per-directive channel round-trips, no steady-state allocation. See
-//     the internal/live package docs for the flush protocol.
-//   - Protocols reuse broadcast FilterRules (engines apply or copy rules
+//   - Protocols reuse broadcast FilterRules (the engine applies rules
 //     before returning) and their set/output scratch buffers.
 //   - offline.Solve reuses envelope and solver buffers and materialises a
 //     witness only when a segment closes.
 //   - The public topk facade adds nothing on top: Update/UpdateBatch (a
 //     full pushed time step), TopK, Cost, and Check are 0 allocs/op in
-//     steady state on both engines (TestFacadeStepAllocs; tracked by
-//     BenchmarkFacadePush in the root suite and topk's own benchmarks),
-//     and a facade-driven run is byte-identical to driving the engines
-//     directly (TestFacadeEquivalence).
+//     steady state (TestFacadeStepAllocs; tracked by BenchmarkFacadePush
+//     in the root suite and topk's own benchmarks), and a facade-driven
+//     run is byte-identical to driving the engine directly
+//     (TestFacadeEquivalence).
 //
-// Engines additionally support Reset(seed): a rewind to the exact state a
-// fresh construction with that seed would produce (byte-identical traces,
-// asserted by the Reset property tests). The experiment harness reuses one
-// engine per worker across all trials of a table cell, and cmd/topkmon
-// -repeat reuses one live engine across whole sessions.
+// The engine additionally supports Reset(seed): a rewind to the exact
+// state a fresh construction with that seed would produce (byte-identical
+// traces, asserted by the Reset property tests). The experiment harness
+// reuses one engine per worker across all trials of a table cell, and
+// cmd/topkmon -repeat reuses one monitor across whole sessions.
 //
 // Benchmarks: `go test -bench=. -benchmem` at the repo root, or
 // `make bench` for machine-readable JSON (BENCH_*.json records the
 // trajectory across PRs: BENCH_PR1.json is the lockstep/oracle baseline,
-// BENCH_PR2.json the live-engine batching + engine-reuse deltas,
-// BENCH_PR3.json the value-index σ-scaling and worker-shard deltas,
+// BENCH_PR2.json the batching + engine-reuse deltas of a since-removed
+// concurrent engine, BENCH_PR3.json the value-index σ-scaling deltas,
 // BENCH_PR10.json the sketch/item-layer costs via `make bench-sketch`; see
 // BENCH.md for how to read them).
 //
 // The experiment harness fans independent trials and sweep points across
 // exp.Options.Parallelism goroutines (internal/tools/bench flag -parallel;
 // every BENCH_*.json run is stamped with a bench-env line recording
-// GOMAXPROCS, NumCPU, and the live engine's default shard count). Every unit
+// GOMAXPROCS and NumCPU). Every unit
 // of work derives its seed from its own index — never from execution
 // order — so tables are byte-identical for every worker count, asserted by
 // TestParallelRunsAreDeterministic.

@@ -1,8 +1,7 @@
 // Loadbalancer: the paper's motivating scenario on the public topk API — a
 // balancer in front of a web-server cluster continuously tracking the k
-// most loaded servers, with real concurrency: the Live engine hosts the
-// servers' node state on 4 worker shards, and the balancer only learns what
-// the filter protocol tells it.
+// most loaded servers. The monitor hosts the servers' node state, and the
+// balancer only learns what the filter protocol tells it.
 //
 // The balancer reacts through Monitor.Subscribe: every committed tick that
 // changes the hot set delivers one event. The demo compares the
@@ -53,12 +52,8 @@ func loadTrace() [][]int64 {
 }
 
 func run(trace [][]int64, algo topk.Algorithm, e topk.Epsilon, label string) int64 {
-	// Four worker shards host the 48 servers' node state: each owns 12
-	// nodes and their value-bucket partition, so a quiet tick wakes 4
-	// workers, not 48 goroutines. The shard count never changes outputs.
 	m, err := topk.New(k, e,
 		topk.WithNodes(servers), topk.WithSeed(11),
-		topk.WithEngine(topk.Live), topk.WithShards(4),
 		topk.WithMonitor(algo))
 	if err != nil {
 		log.Fatal(err)

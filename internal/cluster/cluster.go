@@ -1,21 +1,21 @@
 // Package cluster defines the engine-neutral server-side interface through
 // which all monitoring protocols talk to the distributed nodes.
 //
-// Two engines implement it: the deterministic sequential engine
-// (internal/lockstep), the primary substrate for tests and experiments, and
-// the concurrent goroutine engine (internal/live) used by the runnable
-// demos. Protocol code written against this interface runs unchanged on
-// both, and — given equal seeds — produces identical message counters,
-// which the cross-engine equivalence tests assert.
+// The deterministic sequential engine (internal/lockstep) implements it.
+// The interface is the seam every decorator and harness plugs into: the
+// fault injector (internal/faults) wraps an Engine, the experiment harness
+// (internal/sim) accepts a pre-built one, and timing decorators wrap one to
+// attribute cost per call. Protocol code is written against this interface
+// only, never against the engine type.
 //
 // Every method that moves information between server and nodes has a unit
 // communication cost per message, matching the model of Section 2.
 //
 // # Buffer ownership
 //
-// Both engines run allocation-free in steady state by reusing internal
-// buffers; the slices they hand out therefore have documented lifetimes
-// rather than being fresh copies:
+// Engines run allocation-free in steady state by reusing internal buffers;
+// the slices they hand out therefore have documented lifetimes rather than
+// being fresh copies:
 //
 //   - Collect results survive exactly one further Collect (engines double-
 //     buffer them, because DENSEPROTOCOL holds one result across a second
@@ -23,9 +23,8 @@
 //   - Sweep and DetectViolation results are recycled by the next sweep.
 //   - ValuesInto/FiltersInto append into caller-owned scratch, reusing its
 //     capacity; Values/Filters/Tags are their allocating conveniences.
-//   - BroadcastRule arguments are fully applied (or copied, on the live
-//     engine) before the call returns, so callers may mutate and reuse one
-//     rule across broadcasts.
+//   - BroadcastRule arguments are fully applied before the call returns,
+//     so callers may mutate and reuse one rule across broadcasts.
 //
 // # Engine reuse
 //
@@ -37,12 +36,12 @@
 //
 // # Selectivity of Sweep and Collect
 //
-// Both engines route Sweep and Collect through a value-bucket index
+// The engine routes Sweep and Collect through a value-bucket index
 // (internal/vindex) keyed by wire.Pred.Bounds: only nodes whose values can
-// possibly match the predicate's interval are visited, so the engines'
+// possibly match the predicate's interval are visited, so the engine's
 // internal scan cost tracks the plausible-matcher count σ rather than n.
 // Violation sweeps — whose matches depend on per-node filters, not value
-// bounds — are routed through the engines' filter-interval mirror
+// bounds — are routed through the engine's filter-interval mirror
 // (vindex.Mirror): the server assigns every filter, so the engine records
 // each assigned interval and maintains the exact violator set, making the
 // scheduled quiet-step violation sweep O(1) server-side work. All routing

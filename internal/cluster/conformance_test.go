@@ -1,46 +1,32 @@
 package cluster_test
 
 import (
-	"runtime"
 	"testing"
 
 	"topkmon/internal/cluster"
 	"topkmon/internal/filter"
-	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
 	"topkmon/internal/metrics"
 	"topkmon/internal/wire"
 )
 
-// engines under conformance test: the lockstep reference plus the live
-// engine in its sharded configurations — one worker, two workers (the
-// smallest layout with cross-shard gather), and one worker per core (the
-// default) — so the unit-cost accounting and Reset(seed) byte-equality
-// cover every worker-shard code path.
-func engines(n int, seed uint64) map[string]func() (cluster.Engine, func()) {
-	mkLive := func(m int) func() (cluster.Engine, func()) {
-		return func() (cluster.Engine, func()) {
-			c := live.New(n, seed, live.WithShards(m))
-			return c, c.Close
-		}
-	}
-	return map[string]func() (cluster.Engine, func()){
-		"lockstep": func() (cluster.Engine, func()) {
-			return lockstep.New(n, seed), func() {}
-		},
-		"live/m=1":   mkLive(1),
-		"live/m=2":   mkLive(2),
-		"live/m=cpu": mkLive(runtime.NumCPU()),
+// engines returns the implementations under conformance test, by name.
+// The tests pin the cluster.Engine contract — unit-cost accounting, index
+// fallbacks, Reset(seed) byte-equality — rather than one engine's
+// internals, so an engine added behind the interface joins the suite by
+// adding its constructor here.
+func engines(n int, seed uint64) map[string]func() cluster.Engine {
+	return map[string]func() cluster.Engine{
+		"lockstep": func() cluster.Engine { return lockstep.New(n, seed) },
 	}
 }
 
 // TestConformanceMessageCosts pins the exact unit-cost accounting of every
-// primitive on both engines.
+// primitive.
 func TestConformanceMessageCosts(t *testing.T) {
 	for name, mk := range engines(8, 3) {
 		t.Run(name, func(t *testing.T) {
-			eng, done := mk()
-			defer done()
+			eng := mk()
 			eng.Advance([]int64{10, 20, 30, 40, 50, 60, 70, 80})
 
 			cost := func(f func()) int64 {
@@ -85,13 +71,12 @@ func TestConformanceMessageCosts(t *testing.T) {
 // TestConformanceIndexFallbacks pins the engine-side full-scan accounting:
 // tag predicates and domain-covering intervals bill exactly one fallback
 // per Sweep/Collect; routable intervals and violation sweeps (resolved from
-// the filter-interval mirror) bill none — and both engines, at every shard
-// count, agree because the decision is made from the predicate alone.
+// the filter-interval mirror) bill none — the decision is made from the
+// predicate alone.
 func TestConformanceIndexFallbacks(t *testing.T) {
 	for name, mk := range engines(8, 3) {
 		t.Run(name, func(t *testing.T) {
-			eng, done := mk()
-			defer done()
+			eng := mk()
 			eng.Advance([]int64{10, 20, 30, 40, 50, 60, 70, 80})
 
 			eng.Sweep(wire.Violating())            // mirror-routed → no fallback
@@ -119,15 +104,13 @@ func TestConformanceIndexFallbacks(t *testing.T) {
 // filter-interval mirror: the scheduled per-step violation sweep is
 // mirror-routed, so a long run of quiet steps — values moving strictly
 // inside their filters, every violation sweep finding nothing — bills ZERO
-// index fallbacks AND zero messages on both engines at every shard count.
-// If routing ever regresses to the full scan, the fallback counter moves
-// and this test names the engine.
+// index fallbacks AND zero messages. If routing ever regresses to the full
+// scan, the fallback counter moves and this test names the engine.
 func TestConformanceQuietStepsNoFallbacks(t *testing.T) {
 	const n, steps = 64, 50
 	for name, mk := range engines(n, 5) {
 		t.Run(name, func(t *testing.T) {
-			eng, done := mk()
-			defer done()
+			eng := mk()
 			// Wide filters admit the whole value walk below: every step
 			// stays quiet.
 			eng.Advance(make([]int64, n))
@@ -161,8 +144,7 @@ func TestConformanceQuietStepsNoFallbacks(t *testing.T) {
 func TestConformanceSweepChannelSplit(t *testing.T) {
 	for name, mk := range engines(16, 7) {
 		t.Run(name, func(t *testing.T) {
-			eng, done := mk()
-			defer done()
+			eng := mk()
 			vals := make([]int64, 16)
 			eng.Advance(vals)
 			eng.SetFilter(5, filter.Make(1, 2))
@@ -188,8 +170,7 @@ func TestConformanceSweepChannelSplit(t *testing.T) {
 func TestConformanceTagAndFilterState(t *testing.T) {
 	for name, mk := range engines(4, 11) {
 		t.Run(name, func(t *testing.T) {
-			eng, done := mk()
-			defer done()
+			eng := mk()
 			eng.Advance([]int64{1, 2, 3, 4})
 			eng.SetTagFilter(1, wire.TagV2S2, filter.Make(5, 6))
 			rule := wire.NewFilterRule().
@@ -213,8 +194,7 @@ func TestConformanceTagAndFilterState(t *testing.T) {
 func TestConformanceDetectOnlyViolators(t *testing.T) {
 	for name, mk := range engines(12, 13) {
 		t.Run(name, func(t *testing.T) {
-			eng, done := mk()
-			defer done()
+			eng := mk()
 			for round := 0; round < 20; round++ {
 				vals := make([]int64, 12)
 				for i := range vals {
@@ -243,13 +223,11 @@ func TestConformanceDetectOnlyViolators(t *testing.T) {
 // values at execution time, so an engine deferring or batching directives
 // must still execute it against the values of the PRECEDING Advance when a
 // further Advance follows before any flush — the call-order semantics the
-// lockstep engine has by construction. Regression test for the live
-// engine's Advance coalescing.
+// lockstep engine has by construction.
 func TestConformanceDeferredReadsSeeCallOrderValues(t *testing.T) {
 	for name, mk := range engines(4, 19) {
 		t.Run(name, func(t *testing.T) {
-			eng, done := mk()
-			defer done()
+			eng := mk()
 			eng.Advance([]int64{10, 1, 1, 1})
 			eng.MaxFindInit(5, true) // node 0 activates: 10 > 5
 			eng.Advance([]int64{0, 1, 1, 1})
@@ -262,12 +240,11 @@ func TestConformanceDeferredReadsSeeCallOrderValues(t *testing.T) {
 }
 
 // TestConformanceRoundsAccounted: sweeps and collects consume protocol
-// rounds on both engines.
+// rounds.
 func TestConformanceRoundsAccounted(t *testing.T) {
 	for name, mk := range engines(32, 17) {
 		t.Run(name, func(t *testing.T) {
-			eng, done := mk()
-			defer done()
+			eng := mk()
 			eng.Advance(make([]int64, 32))
 			eng.Sweep(wire.Violating()) // silent: γ+1 rounds
 			eng.Collect(wire.InRange(0, 0))

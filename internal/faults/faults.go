@@ -2,7 +2,7 @@
 // the cluster boundary: Wrap turns any cluster.Engine into one whose
 // message layer misbehaves per a composable Plan — message drop,
 // duplication, node crash/recover schedules, and delayed filter application
-// — while both engines underneath run unchanged.
+// — while the engine underneath runs unchanged.
 //
 // # Determinism
 //
@@ -59,9 +59,9 @@
 //
 // A nil or zero Plan makes the wrapper bit-for-bit transparent: every
 // method delegates straight to the engine, no coins are drawn, no report
-// slices are copied, and the steady state allocates nothing — the existing
-// cross-engine equivalence and zero-allocation suites pass through a
-// zero-plan wrapper unchanged.
+// slices are copied, and the steady state allocates nothing — the facade
+// equivalence and zero-allocation suites pass through a zero-plan wrapper
+// unchanged.
 package faults
 
 import (
@@ -178,7 +178,7 @@ func (p *Plan) Validate(n int) error {
 }
 
 // faultRNG is the Child id of the injector's randomness stream; distinct
-// from the engines' server stream id and from any node id, so the
+// from the engine's server stream id and from any node id, so the
 // injector's draws are decorrelated from — and invisible to — the engine.
 const faultRNG = 0xFA177 // "fault"
 
@@ -267,7 +267,7 @@ func Wrap(inner cluster.Engine, p *Plan, seed uint64) *Cluster {
 	return w
 }
 
-// resetBelief returns the server-belief mirror to the engines' initial
+// resetBelief returns the server-belief mirror to the engine's initial
 // state: all-admitting filters, no tags.
 func (w *Cluster) resetBelief() {
 	for i := range w.believedF {
@@ -276,10 +276,6 @@ func (w *Cluster) resetBelief() {
 	}
 	clear(w.lastVals)
 }
-
-// Inner returns the wrapped engine (harness scaffolding: Close handling
-// and white-box tests).
-func (w *Cluster) Inner() cluster.Engine { return w.inner }
 
 // Plan returns a copy of the wrapper's plan.
 func (w *Cluster) Plan() Plan {
@@ -581,7 +577,7 @@ func (w *Cluster) Sweep(p wire.Pred) []wire.Report {
 
 // DetectViolation implements cluster.Cluster. The decomposition (sweep,
 // then one server coin among the survivors) consumes the engine's server
-// RNG exactly as the engines' own DetectViolation does, so the inactive
+// RNG exactly as the engine's own DetectViolation does, so the inactive
 // path is bit-transparent.
 func (w *Cluster) DetectViolation() (wire.Report, bool) {
 	if !w.on {

@@ -2,6 +2,13 @@
 // workers communicating over channels — the protocols running against a
 // "distributed" cluster rather than a sequential loop.
 //
+// No product path constructs this engine: the topk facade, the tenant
+// server and the commands all run internal/lockstep, and a tenant config
+// that still says "engine":"live" is served by lockstep. The package stays
+// only as a test reference, its tests proving that sharded concurrent
+// execution reproduces lockstep bit for bit (the fact that makes serving
+// those legacy configs by lockstep unobservable). It is due for deletion.
+//
 // # Worker shards
 //
 // The engine runs m ≪ n worker goroutines (m defaults to GOMAXPROCS,
@@ -56,9 +63,8 @@
 // ranges, so concatenated reports are in id order; node-side randomness is
 // consumed only by matching nodes, exactly as in lockstep. A live run with
 // the same seed therefore reproduces the lockstep run's counters and
-// outputs bit for bit — for every shard count — asserted by the
-// cross-engine equivalence tests up to n = 10⁴ and the sharded conformance
-// and Reset suites.
+// outputs bit for bit — for every shard count — asserted by this
+// package's equivalence tests up to n = 10⁴ and its Reset suite.
 package live
 
 import (
@@ -142,7 +148,7 @@ type response struct {
 type shard struct {
 	base      int // id of nodes[0]; the shard covers [base, base+len(nodes))
 	nodes     []*nodecore.Node
-	router    vindex.Router
+	router    vindex.Router // indexes shard-local ids: node id minus base
 	sweepScan []*nodecore.Node
 	out       []wire.Report // this flush's Collect/sweep replies, id order
 }
@@ -270,8 +276,8 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 			base:  base,
 			nodes: make([]*nodecore.Node, size),
 			router: vindex.Router{
-				Idx: vindex.New(base, size),
-				Mir: vindex.NewMirror(base, size),
+				Idx: vindex.New(size),
+				Mir: vindex.NewMirror(size),
 			},
 		}
 		for i := range sh.nodes {
@@ -303,27 +309,27 @@ func (c *Cluster) worker(w int, sh *shard) {
 			d := &c.pend[i]
 			switch d.kind {
 			case dirAdvance:
-				for _, nd := range sh.nodes {
+				for i, nd := range sh.nodes {
 					nd.Observe(c.advVals[nd.ID])
-					sh.router.Idx.Update(nd.ID, nd.Value)
-					sh.router.Mir.SetValue(nd.ID, nd.Value)
+					sh.router.Idx.Update(i, nd.Value)
+					sh.router.Mir.SetValue(i, nd.Value)
 				}
 			case dirApplyRule:
-				for _, nd := range sh.nodes {
+				for i, nd := range sh.nodes {
 					nd.ApplyFilterRule(&c.rules[d.ruleIdx])
-					sh.router.Mir.SetFilter(nd.ID, nd.Filter)
+					sh.router.Mir.SetFilter(i, nd.Filter)
 				}
 			case dirSetFilter:
 				if c.workerOf[d.target] == mine {
 					sh.node(d.target).SetFilter(d.iv)
-					sh.router.Mir.SetFilter(d.target, d.iv)
+					sh.router.Mir.SetFilter(d.target-sh.base, d.iv)
 				}
 			case dirSetTagFilter:
 				if c.workerOf[d.target] == mine {
 					nd := sh.node(d.target)
 					nd.SetTag(d.tag)
 					nd.SetFilter(d.iv)
-					sh.router.Mir.SetFilter(d.target, d.iv)
+					sh.router.Mir.SetFilter(d.target-sh.base, d.iv)
 				}
 			case dirProbe:
 				if c.workerOf[d.target] == mine {
@@ -331,7 +337,7 @@ func (c *Cluster) worker(w int, sh *shard) {
 					c.resp[d.target].report = wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()}
 				}
 			case dirCollect:
-				for _, nd := range sh.router.ScanList(d.pred, sh.nodes, sh.base) {
+				for _, nd := range sh.router.ScanList(d.pred, sh.nodes) {
 					if nd.Match(d.pred) {
 						sh.out = append(sh.out, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
 					}
@@ -341,7 +347,7 @@ func (c *Cluster) worker(w int, sh *shard) {
 				// only move on Advance, which cannot interleave with a
 				// running Sweep), so only round 0 routes the predicate.
 				if d.round == 0 {
-					sh.sweepScan = sh.router.ScanList(d.pred, sh.nodes, sh.base)
+					sh.sweepScan = sh.router.ScanList(d.pred, sh.nodes)
 				}
 				for _, nd := range sh.sweepScan {
 					if nd.Match(d.pred) && nd.ExistenceSend(d.round, c.n) {

@@ -1,15 +1,11 @@
 package lockstep
 
 import (
-	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
-	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
-	"topkmon/internal/live"
 	"topkmon/internal/metrics"
 	"topkmon/internal/rngx"
 	"topkmon/internal/wire"
@@ -101,7 +97,7 @@ const (
 	opMaxFindInit
 	opCollect
 	opSweep
-	opDirectSweep // lockstep-only E11 ablation; scripts for live omit it
+	opDirectSweep // the E11 direct-report ablation
 	opDetect
 )
 
@@ -111,7 +107,7 @@ const (
 // retagging — the exact mutation points the filter mirror must track),
 // max-find state churn, then predicate-routed Collect/Sweep plus a
 // violation sweep and a DetectViolation.
-func equivScript(n, rounds int, dist func() []int64, r *rngx.Source, withDirect bool) []equivOp {
+func equivScript(n, rounds int, dist func() []int64, r *rngx.Source) []equivOp {
 	var ops []equivOp
 	for round := 0; round < rounds; round++ {
 		ops = append(ops, equivOp{kind: opAdvance, vals: dist()})
@@ -151,7 +147,7 @@ func equivScript(n, rounds int, dist func() []int64, r *rngx.Source, withDirect 
 		ops = append(ops, equivOp{kind: opCollect, pred: p})
 		ops = append(ops, equivOp{kind: opSweep, pred: p})
 		ops = append(ops, equivOp{kind: opSweep, pred: wire.Violating()})
-		if withDirect && round%3 == 0 {
+		if round%3 == 0 {
 			ops = append(ops, equivOp{kind: opDirectSweep, pred: p})
 		}
 		ops = append(ops, equivOp{kind: opDetect, endStep: true})
@@ -171,7 +167,7 @@ type equivTrail struct {
 }
 
 // runEquivScript replays ops against eng and records the trail.
-func runEquivScript(eng cluster.Engine, ops []equivOp) equivTrail {
+func runEquivScript(eng *Engine, ops []equivOp) equivTrail {
 	var trail equivTrail
 	prev := eng.Counters().Snapshot()
 	for i := range ops {
@@ -191,10 +187,9 @@ func runEquivScript(eng cluster.Engine, ops []equivOp) equivTrail {
 		case opSweep:
 			trail.reports = append(trail.reports, append([]wire.Report(nil), eng.Sweep(op.pred)...))
 		case opDirectSweep:
-			ls := eng.(*Engine)
-			ls.DirectReports = true
-			trail.reports = append(trail.reports, append([]wire.Report(nil), ls.Sweep(op.pred)...))
-			ls.DirectReports = false
+			eng.DirectReports = true
+			trail.reports = append(trail.reports, append([]wire.Report(nil), eng.Sweep(op.pred)...))
+			eng.DirectReports = false
 		case opDetect:
 			rep, ok := eng.DetectViolation()
 			trail.picks = append(trail.picks, rep)
@@ -235,36 +230,20 @@ func diffTrails(t *testing.T, name string, want, got equivTrail) {
 	}
 }
 
-// liveShardCounts is the shard matrix the live engine is proven on: the
-// degenerate single worker, the smallest cross-shard gather, uneven splits,
-// one node per worker, and the hardware default.
-func liveShardCounts(n int) []int {
-	var counts []int
-	seen := map[int]bool{}
-	for _, m := range []int{1, 2, 5, 8, n, runtime.NumCPU()} {
-		if !seen[m] {
-			seen[m] = true
-			counts = append(counts, m)
-		}
-	}
-	return counts
-}
-
 // TestIndexedScanMatchesFullScan is the routing correctness property test:
 // for random predicates — including the mirror-routed violation predicate
 // under heavy filter churn — over adversarial value distributions, the
 // index-routed Sweep/Collect/DetectViolation must return byte-identical
 // reports, per-round counter deltas, and final counters (i.e. identical
-// messages and coin flips) to the full scan. The full-scan reference is a
-// lockstep engine with routing force-disabled; compared against it are the
-// routed lockstep engine and the live engine at every shard count in
-// liveShardCounts.
+// messages and coin flips) to the full scan. The full-scan reference is an
+// engine with routing force-disabled; compared against it is the routed
+// engine.
 func TestIndexedScanMatchesFullScan(t *testing.T) {
 	const n, rounds, seed = 133, 80, 5
 	for name := range distributions(n, rngx.New(0)) {
 		t.Run(name, func(t *testing.T) {
 			r := rngx.New(911)
-			script := equivScript(n, rounds, distributions(n, r)[name], r, true)
+			script := equivScript(n, rounds, distributions(n, r)[name], r)
 
 			fullScan := New(n, seed)
 			fullScan.FullScan = true
@@ -284,26 +263,6 @@ func TestIndexedScanMatchesFullScan(t *testing.T) {
 
 			indexed := New(n, seed)
 			diffTrails(t, "lockstep", want, runEquivScript(indexed, script))
-
-			// The live engines replay the same script minus the
-			// lockstep-only direct-sweep ablation ops; so does their
-			// reference.
-			var liveScript []equivOp
-			for _, op := range script {
-				if op.kind != opDirectSweep {
-					liveScript = append(liveScript, op)
-				}
-			}
-			ref := New(n, seed)
-			ref.FullScan = true
-			liveWant := runEquivScript(ref, liveScript)
-			for _, m := range liveShardCounts(n) {
-				t.Run(fmt.Sprintf("live/m=%d", m), func(t *testing.T) {
-					lc := live.New(n, seed, live.WithShards(m))
-					defer lc.Close()
-					diffTrails(t, fmt.Sprintf("live m=%d", m), liveWant, runEquivScript(lc, liveScript))
-				})
-			}
 		})
 	}
 }

@@ -66,9 +66,9 @@ type Engine struct {
 	DirectReports bool
 }
 
-// serverRNG is the Child id of the server-side randomness stream, shared
-// with the live engine so both derive identical server coin flips from the
-// same seed.
+// serverRNG is the Child id of the server-side randomness stream. Its value
+// fixes the server coin flips every seed replays, so changing it changes
+// every recorded run.
 const serverRNG = 0xC0FFEE
 
 // New returns an engine with n nodes, all values 0, all filters [0, ∞].
@@ -82,7 +82,7 @@ func New(n int, seed uint64) *Engine {
 		ctr:    metrics.NewCounters(),
 		rng:    root.Child(serverRNG),
 		maxV:   1,
-		router: vindex.Router{Idx: vindex.New(0, n), Mir: vindex.NewMirror(0, n)},
+		router: vindex.Router{Idx: vindex.New(n), Mir: vindex.NewMirror(n)},
 	}
 	for i := range e.nodes {
 		e.nodes[i] = nodecore.New(i, root)
@@ -197,11 +197,10 @@ func (e *Engine) Node(i int) *nodecore.Node { return e.nodes[i] }
 func (e *Engine) VisitedNodes() int64 { return e.visited }
 
 // scanList returns the nodes a predicate-routed primitive must visit, in
-// ascending id order — vindex.Router.ScanList (the routing policy shared
-// with the live engine's shards) behind the FullScan ablation toggle.
-// Non-routable predicates bill one full-scan fallback on the counters; the
-// decision is predicate-only, so the live engine counts identically and the
-// FullScan toggle never perturbs the count.
+// ascending id order — vindex.Router.ScanList (the routing policy) behind
+// the FullScan ablation toggle. Non-routable predicates bill one full-scan
+// fallback on the counters; the decision is predicate-only, so the FullScan
+// toggle never perturbs the count.
 func (e *Engine) scanList(p wire.Pred) []*nodecore.Node {
 	if !vindex.Routable(p) {
 		e.ctr.IndexFallback()
@@ -210,7 +209,7 @@ func (e *Engine) scanList(p wire.Pred) []*nodecore.Node {
 	if e.FullScan {
 		return e.nodes
 	}
-	return e.router.ScanList(p, e.nodes, 0)
+	return e.router.ScanList(p, e.nodes)
 }
 
 func (e *Engine) count(ch metrics.Channel, k wire.Kind) {

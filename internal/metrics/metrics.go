@@ -60,11 +60,10 @@ type Counters struct {
 	// node-local tags the server does not index) and domain-covering value
 	// intervals (e.g. AboveActive(-1)), where routing could prune nothing.
 	// Violation sweeps no longer fall back: they are resolved from the
-	// engines' filter-interval mirror (vindex.Mirror), so a quiet-step run
+	// engine's filter-interval mirror (vindex.Mirror), so a quiet-step run
 	// holds this counter flat (asserted by the quiet-step regression
-	// tests). It is engine-side work accounting, not message cost: both
-	// engines count identically (the decision is made from the predicate
-	// alone), so cross-engine equivalence is preserved.
+	// tests). It is engine-side work accounting, not message cost, and the
+	// decision is made from the predicate alone.
 	indexFallbacks int64
 
 	// Fault accounting (internal/faults and the topk facade's recovery
@@ -73,8 +72,7 @@ type Counters struct {
 	// droppedMsgs/dupMsgs/retries at the wrapped message layer, and the
 	// facade bills resyncs/staleSteps from its recovery loop. Like
 	// indexFallbacks they are layered accounting, not model message cost,
-	// and both engines produce identical values under equal seeds and
-	// fault plans (pinned by the faults conformance tests).
+	// and replay identically under equal seeds and fault plans.
 	droppedMsgs int64
 	dupMsgs     int64
 	retries     int64

@@ -1,23 +1,23 @@
-// Package nodecore implements the node-local state and behaviour shared by
-// the deterministic lockstep engine and the concurrent goroutine engine.
+// Package nodecore implements the node-local state and behaviour an engine
+// hosts.
 //
 // A node owns: its current stream value, its assigned filter, a protocol tag
 // (V1/V2/S1-style set membership, updated by server messages), and a
 // max-find activation flag. All server-visible behaviour is driven through
-// Apply* message handlers and the EXISTENCE send schedule, so the two
-// engines cannot diverge in node logic.
+// Apply* message handlers and the EXISTENCE send schedule, so node logic
+// lives here and nowhere in the engine.
 //
 // Nodes are built for reuse: New allocates the node and its RNG stream
 // once; Reset rewinds both in place to the state New would construct for a
 // given root source, so engine Reset (trial reuse in the experiment
 // harness) allocates nothing on the node side. Handlers never allocate —
-// the per-step zero-allocation budget of both engines rests on that.
+// the engine's per-step zero-allocation budget rests on that.
 //
 // State-mutation contract: Observe and Reset are the ONLY operations that
 // change Node.Value, and SetFilter, ApplyFilterRule, and Reset the only
-// ones that change Node.Filter. The engines rely on this to keep their
-// value-bucket indexes and filter-interval mirrors (internal/vindex)
-// consistent — they re-index a node exactly at those points — so any new
+// ones that change Node.Filter. The engine relies on this to keep its
+// value-bucket index and filter-interval mirror (internal/vindex)
+// consistent — it re-indexes a node exactly at those points — so any new
 // mutation of Value or Filter must notify the owning engine's structures
 // as well. In particular, harness code must never mutate a node reached
 // through an engine's white-box Node accessor; it assigns filters through

@@ -1,8 +1,8 @@
 // Package rngx provides a small, fast, deterministic PRNG (splitmix64) with
 // no global state. Every protocol, node, and experiment owns its own Source
 // seeded explicitly, so whole simulations replay bit-for-bit from a seed —
-// a requirement for the paper-reproduction harness and for the lockstep/live
-// engine equivalence tests.
+// a requirement for the paper-reproduction harness, the byte-identity
+// proofs, and write-ahead-log recovery.
 package rngx
 
 import "math"

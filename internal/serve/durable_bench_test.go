@@ -12,7 +12,7 @@ import (
 // enough that the monitor does real work per step, small enough that the
 // WAL append (not the engine) dominates the policy comparison.
 var benchConfig = Config{
-	Nodes: 256, K: 8, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: 7,
+	Nodes: 256, K: 8, Eps: "1/8", Monitor: "approx", Seed: 7,
 }
 
 // benchBatch builds a deterministic 16-update batch per step.

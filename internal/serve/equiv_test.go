@@ -86,8 +86,9 @@ func costSnapshot(m *topk.Monitor) costResponse {
 // over the HTTP handlers is byte-identical — outputs, the full Cost
 // counter snapshot, and epochs — to the same trace pushed directly into a
 // topk.Monitor. The server path is pure transport; it inherits the
-// facade's equivalence guarantee instead of weakening it. Covered on both
-// engines and with the fault layer armed.
+// facade's equivalence guarantee instead of weakening it. Covered bare,
+// with the fault layer armed, and for a tenant created with the removed
+// "engine":"live" and "shards" keys, which lockstep serves unchanged.
 func TestServeEquivalence(t *testing.T) {
 	const (
 		n     = 48
@@ -97,27 +98,25 @@ func TestServeEquivalence(t *testing.T) {
 	)
 	cases := []struct {
 		name   string
+		body   string // PUT body when it is not cfg's encoding
 		cfg    Config
-		opts   []topk.Option
 		faults *topk.FaultPlan
 	}{
 		{
 			name: "lockstep",
-			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed},
-			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
-		},
-		{
-			name: "live",
-			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Engine: "live", Shards: 3, Monitor: "approx", Seed: seed},
-			opts: []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)},
+			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Monitor: "approx", Seed: seed},
 		},
 		{
 			name: "lockstep-faulty",
-			cfg: Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed,
+			cfg: Config{Nodes: n, K: k, Eps: "1/8", Monitor: "approx", Seed: seed,
 				Faults: &FaultConfig{Drop: 0.05, Dup: 0.02, Delay: 0.05,
 					Crashes: []CrashConfig{{Node: 3, From: 40, Until: 90}}}},
-			opts:   []topk.Option{topk.WithEngine(topk.Lockstep)},
 			faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05, Crashes: []topk.Crash{{Node: 3, From: 40, Until: 90}}},
+		},
+		{
+			name: "live",
+			body: `{"nodes":48,"k":4,"eps":"1/8","engine":"live","shards":3,"monitor":"approx","seed":11}`,
+			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Monitor: "approx", Seed: seed},
 		},
 	}
 
@@ -125,13 +124,8 @@ func TestServeEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// The direct path: the embeddable facade, driven in-process.
 			e := topk.MustEpsilon(1, 8)
-			opts := append([]topk.Option{
-				topk.WithNodes(n), topk.WithSeed(seed), topk.WithMonitor(topk.Approx),
-			}, tc.opts...)
-			if tc.faults != nil {
-				opts = append(opts, topk.WithFaults(tc.faults))
-			}
-			direct, err := topk.New(k, e, opts...)
+			direct, err := topk.New(k, e, topk.WithNodes(n), topk.WithSeed(seed),
+				topk.WithMonitor(topk.Approx), topk.WithFaults(tc.faults))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,11 +133,15 @@ func TestServeEquivalence(t *testing.T) {
 
 			// The HTTP path: same config through the tenant-create route.
 			s := newTestServer(t, Options{})
-			cfgBody, err := json.Marshal(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
+			body := tc.body
+			if body == "" {
+				cfgBody, err := json.Marshal(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body = string(cfgBody)
 			}
-			wantStatus(t, do(t, s, "PUT", "/v1/eq", string(cfgBody)), 201)
+			wantStatus(t, do(t, s, "PUT", "/v1/eq", body), 201)
 
 			trace := makeTrace(n, steps, seed)
 			topBuf := make([]int, 0, k)

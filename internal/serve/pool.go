@@ -56,8 +56,6 @@ type Config struct {
 	Nodes   int          `json:"nodes,omitempty"`
 	K       int          `json:"k,omitempty"`
 	Eps     string       `json:"eps,omitempty"`     // "p/q", e.g. "1/8"
-	Engine  string       `json:"engine,omitempty"`  // "lockstep" | "live"
-	Shards  int          `json:"shards,omitempty"`  // live engine workers; 0 = GOMAXPROCS
 	Monitor string       `json:"monitor,omitempty"` // algorithm name, e.g. "approx"
 	Seed    uint64       `json:"seed,omitempty"`
 	Faults  *FaultConfig `json:"faults,omitempty"`
@@ -73,12 +71,6 @@ func (c Config) withDefaults(d Config) Config {
 	}
 	if c.Eps == "" {
 		c.Eps = d.Eps
-	}
-	if c.Engine == "" {
-		c.Engine = d.Engine
-	}
-	if c.Shards == 0 {
-		c.Shards = d.Shards
 	}
 	if c.Monitor == "" {
 		c.Monitor = d.Monitor
@@ -98,7 +90,6 @@ var baseDefaults = Config{
 	Nodes:   64,
 	K:       4,
 	Eps:     "1/8",
-	Engine:  "lockstep",
 	Monitor: "approx",
 	Seed:    1,
 }
@@ -110,18 +101,12 @@ func (c Config) build() (*topk.Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine, err := topk.ParseEngine(c.Engine)
-	if err != nil {
-		return nil, err
-	}
 	algo, err := topk.ParseAlgorithm(c.Monitor)
 	if err != nil {
 		return nil, err
 	}
 	return topk.New(c.K, e,
 		topk.WithNodes(c.Nodes),
-		topk.WithEngine(engine),
-		topk.WithShards(c.Shards),
 		topk.WithMonitor(algo),
 		topk.WithSeed(c.Seed),
 		topk.WithFaults(c.Faults.plan()))
@@ -175,7 +160,7 @@ type Pool struct {
 
 // NewPool returns a pool whose lazily-created tenants use defaults (zero
 // fields fall back to the package baseline: 64 nodes, k=4, ε=1/8,
-// lockstep, approx, seed 1). lazy enables creation on first ingest; max
+// approx, seed 1). lazy enables creation on first ingest; max
 // bounds the tenant count (0 = unlimited). A non-nil store makes every
 // tenant durable: creations and accepted batches are journaled, and the
 // pool takes ownership of the store (Pool.Close closes it).

@@ -109,8 +109,7 @@ func TestTenantIsolation(t *testing.T) {
 	stop := make(chan struct{})
 	var churns, resets atomic.Int64
 	var wg sync.WaitGroup
-	// Churner: create a live-engine victim (worker goroutines, the most
-	// expensive construction), feed it, delete it, repeat.
+	// Churner: create a victim, feed it, delete it, repeat.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -122,7 +121,7 @@ func TestTenantIsolation(t *testing.T) {
 			}
 			name := fmt.Sprintf("victim%d", i%3)
 			req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/"+name,
-				strings.NewReader(`{"nodes":32,"engine":"live","shards":2}`))
+				strings.NewReader(`{"nodes":32}`))
 			if resp, err := hc.Do(req); err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()

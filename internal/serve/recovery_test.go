@@ -44,8 +44,15 @@ func postSeq(t *testing.T, s *Server, tenant string, batch []topk.Update, client
 // batches with the SAME client sequence numbers (the recovered prefix is
 // absorbed as duplicates, the lost suffix recommits), and demand the
 // final TopK set and the full JSON cost snapshot be byte-identical to an
-// uninterrupted in-process monitor. Covered on both engines and with the
-// fault injector armed, so even the injector's coin flips replay exactly.
+// uninterrupted in-process monitor. Covered bare, with the fault injector
+// armed (so even the injector's coin flips replay exactly), and for a
+// tenant created with the removed "engine":"live" keys.
+//
+// Each case kills two logs. The top-level kill@N and bitflip subtests cut
+// the log an older server wrote for the same tenant
+// (testdata/legacy-recovery/<case>.wal), whose config record still
+// carries "engine" and "shards"; the current-log/ subtests cut the log
+// this server writes. The two must differ only in those keys.
 func TestRecoveryEquivalence(t *testing.T) {
 	const (
 		n     = 48
@@ -55,28 +62,26 @@ func TestRecoveryEquivalence(t *testing.T) {
 	)
 	cases := []struct {
 		name   string
+		body   string // PUT body when it is not cfg's encoding
 		cfg    Config
-		opts   []topk.Option
 		faults *topk.FaultPlan
 	}{
 		{
 			name: "lockstep",
-			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed},
-			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
-		},
-		{
-			name: "live",
-			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Engine: "live", Shards: 3, Monitor: "approx", Seed: seed},
-			opts: []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)},
+			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Monitor: "approx", Seed: seed},
 		},
 		{
 			name: "lockstep-faulty",
-			cfg: Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed,
+			cfg: Config{Nodes: n, K: k, Eps: "1/8", Monitor: "approx", Seed: seed,
 				Faults: &FaultConfig{Drop: 0.05, Dup: 0.02, Delay: 0.05,
 					Crashes: []CrashConfig{{Node: 3, From: 10, Until: 30}}}},
-			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
 			faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05,
 				Crashes: []topk.Crash{{Node: 3, From: 10, Until: 30}}},
+		},
+		{
+			name: "live",
+			body: `{"nodes":48,"k":4,"eps":"1/8","engine":"live","shards":3,"monitor":"approx","seed":11}`,
+			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Monitor: "approx", Seed: seed},
 		},
 	}
 
@@ -86,13 +91,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 
 			// The uninterrupted reference: the facade, driven in-process.
 			e := topk.MustEpsilon(1, 8)
-			opts := append([]topk.Option{
-				topk.WithNodes(n), topk.WithSeed(seed), topk.WithMonitor(topk.Approx),
-			}, tc.opts...)
-			if tc.faults != nil {
-				opts = append(opts, topk.WithFaults(tc.faults))
-			}
-			direct, err := topk.New(k, e, opts...)
+			direct, err := topk.New(k, e, topk.WithNodes(n), topk.WithSeed(seed),
+				topk.WithMonitor(topk.Approx), topk.WithFaults(tc.faults))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,41 +108,55 @@ func TestRecoveryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// One full durable run produces the reference log.
+			// One full durable run produces the current log.
 			src := t.TempDir()
 			a := durableServer(t, src, 1<<20)
-			cfgBody, _ := json.Marshal(tc.cfg)
-			wantStatus(t, do(t, a, "PUT", "/v1/eq", string(cfgBody)), 201)
+			body := tc.body
+			if body == "" {
+				cfgBody, _ := json.Marshal(tc.cfg)
+				body = string(cfgBody)
+			}
+			wantStatus(t, do(t, a, "PUT", "/v1/eq", body), 201)
 			for i, batch := range trace {
 				if resp := postSeq(t, a, "eq", batch, "c", uint64(i+1)); resp.Duplicate {
 					t.Fatalf("step %d: fresh seq reported duplicate", i)
 				}
 			}
 			a.Close()
-			full, err := os.ReadFile(filepath.Join(src, "eq.wal"))
+			current, err := os.ReadFile(filepath.Join(src, "eq.wal"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, valid := wal.DecodePrefix(full)
-			if valid != int64(len(full)) || len(recs) != steps+1 {
-				t.Fatalf("reference log: %d records, %d/%d valid bytes", len(recs), valid, len(full))
+			legacy, err := os.ReadFile(filepath.Join("testdata/legacy-recovery", tc.name+".wal"))
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			// Kill points: the config-record boundary, a handful of batch
-			// boundaries, and for each chosen boundary the mid-frame-header
-			// (+3), mid-CRC (+6), and mid-payload (+11) offsets behind it.
-			boundaries := []int64{recs[0].End, recs[steps/3].End, recs[2*steps/3].End, recs[steps-1].End, int64(len(full))}
-			var kills []int64
-			for _, b := range boundaries {
-				kills = append(kills, b)
-				for _, off := range []int64{3, 6, 11} {
-					if b+off < int64(len(full)) {
-						kills = append(kills, b+off)
-					}
+			decode := func(name string, full []byte) []wal.Record {
+				recs, valid := wal.DecodePrefix(full)
+				if valid != int64(len(full)) || len(recs) != steps+1 {
+					t.Fatalf("%s log: %d records, %d/%d valid bytes", name, len(recs), valid, len(full))
 				}
+				return recs
 			}
-			if testing.Short() {
-				kills = []int64{recs[steps/3].End, recs[2*steps/3].End + 6, int64(len(full))}
+			curRecs, legRecs := decode("current", current), decode("legacy", legacy)
+			if !bytes.Equal(current[curRecs[0].End:], legacy[legRecs[0].End:]) {
+				t.Fatal("current and legacy logs differ after the config record")
+			}
+			var curCfg, legCfg map[string]any
+			if err := json.Unmarshal(curRecs[0].Config, &curCfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(legRecs[0].Config, &legCfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := curCfg["engine"]; ok {
+				t.Fatalf("current config record still carries engine: %s", curRecs[0].Config)
+			}
+			delete(legCfg, "engine")
+			delete(legCfg, "shards")
+			if fmt.Sprint(curCfg) != fmt.Sprint(legCfg) {
+				t.Fatalf("config records differ beyond the removed keys\ncurrent: %s\nlegacy:  %s",
+					curRecs[0].Config, legRecs[0].Config)
 			}
 
 			check := func(t *testing.T, data []byte) {
@@ -191,20 +205,68 @@ func TestRecoveryEquivalence(t *testing.T) {
 				b.Close()
 			}
 
-			for _, kp := range kills {
-				t.Run(fmt.Sprintf("kill@%d", kp), func(t *testing.T) {
-					check(t, full[:kp])
-				})
-			}
+			// Kill points: the config-record boundary, a handful of batch
+			// boundaries, and for each chosen boundary the mid-frame-header
+			// (+3), mid-CRC (+6), and mid-payload (+11) offsets behind it.
 			// Corrupted tail: a flipped bit mid-log invalidates that record
 			// and discards everything after it; recovery still replays the
 			// exact prefix and the retries recommit the rest.
-			t.Run("bitflip", func(t *testing.T) {
-				flip := append([]byte(nil), full...)
-				flip[recs[steps/2].End+9] ^= 0x40
-				check(t, flip)
-			})
+			killAll := func(t *testing.T, full []byte, recs []wal.Record) {
+				boundaries := []int64{recs[0].End, recs[steps/3].End, recs[2*steps/3].End, recs[steps-1].End, int64(len(full))}
+				var kills []int64
+				for _, b := range boundaries {
+					kills = append(kills, b)
+					for _, off := range []int64{3, 6, 11} {
+						if b+off < int64(len(full)) {
+							kills = append(kills, b+off)
+						}
+					}
+				}
+				if testing.Short() {
+					kills = []int64{recs[steps/3].End, recs[2*steps/3].End + 6, int64(len(full))}
+				}
+				for _, kp := range kills {
+					t.Run(fmt.Sprintf("kill@%d", kp), func(t *testing.T) {
+						check(t, full[:kp])
+					})
+				}
+				t.Run("bitflip", func(t *testing.T) {
+					flip := append([]byte(nil), full...)
+					flip[recs[steps/2].End+9] ^= 0x40
+					check(t, flip)
+				})
+			}
+			killAll(t, legacy, legRecs)
+			t.Run("current-log", func(t *testing.T) { killAll(t, current, curRecs) })
 		})
+	}
+}
+
+// TestLegacyLiveLogRecovers boots on a data directory written before the
+// engine switch was removed: a durable topkd tenant created with
+// "engine":"live","shards":3 and fed 300 churn-shaped batches (see
+// testdata/legacy-live/README.md). Its WAL and snapshot still carry the
+// removed keys. Recovery must serve /topk and /cost byte-identical to the
+// bytes that server served, and keep its exactly-once watermark.
+func TestLegacyLiveLogRecovers(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/legacy-live/data")); err != nil {
+		t.Fatal(err)
+	}
+	s := durableServer(t, dir, 1<<20)
+	for _, route := range []string{"topk", "cost"} {
+		want, err := os.ReadFile(filepath.Join("testdata/legacy-live", route+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := do(t, s, "GET", "/v1/legacy/"+route, "")
+		wantStatus(t, rec, 200)
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("/%s diverged from the pre-removal server\nrecovered: %s\nserved:    %s", route, got, want)
+		}
+	}
+	if resp := postSeq(t, s, "legacy", []topk.Update{{Node: 0, Value: 1}}, "fixture", 300); !resp.Duplicate {
+		t.Errorf("seq 300 recommitted after recovery: %+v", resp)
 	}
 }
 

@@ -55,7 +55,7 @@ import (
 type Options struct {
 	// Defaults seeds every lazily-created tenant and fills zero fields of
 	// explicit create requests. Zero fields of Defaults itself fall back to
-	// the package baseline (64 nodes, k=4, ε=1/8, lockstep, approx, seed 1).
+	// the package baseline (64 nodes, k=4, ε=1/8, approx, seed 1).
 	Defaults Config
 	// Lazy creates unknown tenants from Defaults on first ingest.
 	Lazy bool
@@ -222,6 +222,16 @@ type tenantInfo struct {
 	Algorithm string `json:"algorithm"`
 }
 
+// createRequest is the tenant-create body: a Config plus the two keys of
+// the removed engine switch. Configs written before its removal still
+// load; the keys are checked as they were and then dropped, since every
+// tenant runs on the one engine.
+type createRequest struct {
+	Config
+	Engine string `json:"engine"` // "", "lockstep" or "live"
+	Shards int    `json:"shards"`
+}
+
 type resetRequest struct {
 	Seed uint64 `json:"seed"`
 }
@@ -320,16 +330,22 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("tenant")
-	var cfg Config
+	var req createRequest
 	if r.ContentLength != 0 {
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&cfg); err != nil {
+		if err := dec.Decode(&req); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: config: %w", err))
 			return
 		}
 	}
-	t, err := s.pool.Create(name, cfg)
+	switch req.Engine {
+	case "", "lockstep", "live":
+	default:
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: config: unknown engine %q (want lockstep)", req.Engine))
+		return
+	}
+	t, err := s.pool.Create(name, req.Config)
 	if err != nil {
 		poolErr(w, err)
 		return

@@ -58,7 +58,7 @@ func TestTenantLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Config.Nodes != 16 || info.Config.K != 3 || info.Config.Seed != 9 ||
-		info.Config.Eps != "1/8" || info.Config.Engine != "lockstep" || info.Config.Monitor != "approx" {
+		info.Config.Eps != "1/8" || info.Config.Monitor != "approx" {
 		t.Fatalf("merged config = %+v", info.Config)
 	}
 
@@ -67,8 +67,27 @@ func TestTenantLifecycle(t *testing.T) {
 	wantStatus(t, do(t, s, "PUT", "/v1/bad%20name", ""), http.StatusBadRequest)
 	wantStatus(t, do(t, s, "PUT", "/v1/tenants", ""), http.StatusBadRequest)
 	wantStatus(t, do(t, s, "PUT", "/v1/neg", `{"k":-1}`), http.StatusBadRequest)
-	wantStatus(t, do(t, s, "PUT", "/v1/neg", `{"engine":"vax"}`), http.StatusBadRequest)
 	wantStatus(t, do(t, s, "PUT", "/v1/neg", `{"unknown":1}`), http.StatusBadRequest)
+
+	// Configs naming an engine predate the single engine: "lockstep" and
+	// "live" (with any shard count) still create, the keys are dropped from
+	// the echoed config, and any other engine name is still rejected.
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"legacy-live", `{"engine":"live","shards":2}`, http.StatusCreated},
+		{"legacy-lockstep", `{"engine":"lockstep"}`, http.StatusCreated},
+		{"unknown-engine", `{"engine":"gpu"}`, http.StatusBadRequest},
+	} {
+		rec := do(t, s, "PUT", "/v1/"+tc.name, tc.body)
+		if rec.Code != tc.status {
+			t.Errorf("%s: status = %d, want %d (body: %s)", tc.name, rec.Code, tc.status, rec.Body.String())
+		}
+		if strings.Contains(rec.Body.String(), `"shards"`) || strings.Contains(rec.Body.String(), `"engine"`) {
+			t.Errorf("%s: response echoes a legacy key: %s", tc.name, rec.Body.String())
+		}
+	}
 
 	// Ingest three steps: one batch, one staged pair via update+flush shape
 	// (the update route always commits the batch as one step), one

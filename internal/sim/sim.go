@@ -60,10 +60,10 @@ type Config struct {
 	ComputeOPT bool
 	OPTEps     eps.Eps
 
-	// Engine overrides the default lockstep engine (the live engine's
-	// integration tests inject theirs; the experiment harness injects
-	// per-worker engines rewound with Engine.Reset(Seed), which is
-	// state-identical to the fresh construction Run would perform).
+	// Engine overrides the default lockstep engine (the experiment
+	// harness injects per-worker engines rewound with Engine.Reset(Seed),
+	// which is state-identical to the fresh construction Run would
+	// perform).
 	// Run uses the engine as handed over — callers reusing one engine
 	// across runs are responsible for the Reset between them.
 	Engine cluster.Engine

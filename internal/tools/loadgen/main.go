@@ -29,8 +29,8 @@
 //
 //	loadgen [-addr http://127.0.0.1:7070] [-tenants 8] [-clients 64]
 //	        [-requests 200] [-batch 16] [-nodes 64] [-k 4] [-eps 1/8]
-//	        [-engine lockstep] [-shards 0] [-monitor approx] [-seed 1]
-//	        [-faults spec] [-tenant-prefix t] [-out FILE] [-wait 10s]
+//	        [-monitor approx] [-seed 1] [-faults spec] [-tenant-prefix t]
+//	        [-out FILE] [-wait 10s]
 //	        [-seq] [-retries 0] [-retry-backoff 100ms] [-workload uniform]
 //
 // -workload selects how each client spreads its batch across the tenant's
@@ -71,8 +71,6 @@ type params struct {
 	Nodes    int    `json:"nodes"`
 	K        int    `json:"k"`
 	Eps      string `json:"eps"`
-	Engine   string `json:"engine"`
-	Shards   int    `json:"shards"`
 	Monitor  string `json:"monitor"`
 	Seed     uint64 `json:"seed"`
 	Faults   string `json:"faults,omitempty"`
@@ -157,8 +155,6 @@ func main() {
 	nodes := flag.Int("nodes", 64, "nodes per tenant")
 	k := flag.Int("k", 4, "top-set size per tenant")
 	epsStr := flag.String("eps", "1/8", "tenant ε as p/q")
-	engine := flag.String("engine", "lockstep", "tenant engine: lockstep | live")
-	shards := flag.Int("shards", 0, "tenant live-engine shards")
 	monitor := flag.String("monitor", "approx", "tenant algorithm")
 	seed := flag.Uint64("seed", 1, "workload + tenant seed")
 	faultSpec := flag.String("faults", "", "tenant fault spec (same syntax as topkd -faults)")
@@ -172,8 +168,8 @@ func main() {
 
 	p := params{
 		Addr: *addr, Prefix: *prefix, Tenants: *tenants, Clients: *clients, Requests: *requests,
-		Batch: *batch, Nodes: *nodes, K: *k, Eps: *epsStr, Engine: *engine,
-		Shards: *shards, Monitor: *monitor, Seed: *seed, Faults: *faultSpec,
+		Batch: *batch, Nodes: *nodes, K: *k, Eps: *epsStr,
+		Monitor: *monitor, Seed: *seed, Faults: *faultSpec,
 		Seq: *seqMode, Retries: *retries, backoff: *backoff, Workload: *workload,
 		runID: strconv.FormatInt(time.Now().UnixNano(), 36),
 	}
@@ -373,8 +369,8 @@ func createTenants(hc *http.Client, p params) error {
 		}
 	}
 	cfg := serve.Config{
-		Nodes: p.Nodes, K: p.K, Eps: p.Eps, Engine: p.Engine, Shards: p.Shards,
-		Monitor: p.Monitor, Seed: p.Seed, Faults: faults,
+		Nodes: p.Nodes, K: p.K, Eps: p.Eps, Monitor: p.Monitor, Seed: p.Seed,
+		Faults: faults,
 	}
 	body, err := json.Marshal(cfg)
 	if err != nil {

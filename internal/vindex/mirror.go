@@ -18,9 +18,9 @@ import (
 //
 // # Ownership and update points
 //
-// A Mirror belongs to the engine (or live-engine shard) owning the mirrored
-// nodes and must be updated by the same code path that mutates the node,
-// immediately after the mutation, on the goroutine owning the node:
+// A Mirror belongs to the engine owning the mirrored nodes and must be
+// updated by the same code path that mutates the node, immediately after
+// the mutation:
 //
 //   - Observe/Advance  → SetValue(id, v)
 //   - SetFilter, SetTagFilter → SetFilter(id, iv)
@@ -41,32 +41,30 @@ import (
 // still evaluate Match per candidate — the byte-equality proof obligation
 // treats the scan list as a superset like any other routed scan.
 type Mirror struct {
-	base int
-	flt  []filter.Interval // mirrored filter per node
-	val  []int64           // mirrored value per node
+	flt []filter.Interval // mirrored filter per node
+	val []int64           // mirrored value per node
 
-	// vio holds the violating ids in arbitrary order; pos[id-base] is the
+	// vio holds the violating ids in arbitrary order; pos[id] is the
 	// id's position in vio, or -1. Swap-remove keeps both O(1) per update.
 	vio []int32
 	pos []int32
 }
 
-// NewMirror returns a mirror over the ids [base, base+n) in the engines'
+// NewMirror returns a mirror over the ids [0, n) in the engine's
 // construction state: every value 0, every filter all-admitting, no
 // violators.
-func NewMirror(base, n int) *Mirror {
+func NewMirror(n int) *Mirror {
 	m := &Mirror{
-		base: base,
-		flt:  make([]filter.Interval, n),
-		val:  make([]int64, n),
-		vio:  make([]int32, 0, n),
-		pos:  make([]int32, n),
+		flt: make([]filter.Interval, n),
+		val: make([]int64, n),
+		vio: make([]int32, 0, n),
+		pos: make([]int32, n),
 	}
 	m.Reset()
 	return m
 }
 
-// Reset returns the mirror to the engines' post-Reset node state: value 0,
+// Reset returns the mirror to the engine's post-Reset node state: value 0,
 // the all-admitting filter, no violators. It reuses the arrays and
 // allocates nothing.
 func (m *Mirror) Reset() {
@@ -80,47 +78,45 @@ func (m *Mirror) Reset() {
 
 // SetValue records that node id now holds value v.
 func (m *Mirror) SetValue(id int, v int64) {
-	i := id - m.base
-	m.val[i] = v
-	m.recheck(i)
+	m.val[id] = v
+	m.recheck(id)
 }
 
 // SetFilter records that node id now holds filter iv.
 func (m *Mirror) SetFilter(id int, iv filter.Interval) {
-	i := id - m.base
-	m.flt[i] = iv
-	m.recheck(i)
+	m.flt[id] = iv
+	m.recheck(id)
 }
 
-// recheck moves slot i in or out of the violator set to match the mirrored
-// (value, filter) pair; both directions are O(1).
-func (m *Mirror) recheck(i int) {
-	want := !m.flt[i].Contains(m.val[i])
-	have := m.pos[i] >= 0
+// recheck moves node id in or out of the violator set to match the
+// mirrored (value, filter) pair; both directions are O(1).
+func (m *Mirror) recheck(id int) {
+	want := !m.flt[id].Contains(m.val[id])
+	have := m.pos[id] >= 0
 	switch {
 	case want && !have:
-		m.pos[i] = int32(len(m.vio))
-		m.vio = append(m.vio, int32(m.base+i))
+		m.pos[id] = int32(len(m.vio))
+		m.vio = append(m.vio, int32(id))
 	case !want && have:
-		p := m.pos[i]
+		p := m.pos[id]
 		last := m.vio[len(m.vio)-1]
 		m.vio[p] = last
-		m.pos[last-int32(m.base)] = p
+		m.pos[last] = p
 		m.vio = m.vio[:len(m.vio)-1]
-		m.pos[i] = -1
+		m.pos[id] = -1
 	}
 }
 
 // Violating reports whether the mirror holds node id as a violator.
-func (m *Mirror) Violating(id int) bool { return m.pos[id-m.base] >= 0 }
+func (m *Mirror) Violating(id int) bool { return m.pos[id] >= 0 }
 
 // Interval returns the mirrored filter of node id (test and invariant
 // scaffolding).
-func (m *Mirror) Interval(id int) filter.Interval { return m.flt[id-m.base] }
+func (m *Mirror) Interval(id int) filter.Interval { return m.flt[id] }
 
 // Value returns the mirrored value of node id (test and invariant
 // scaffolding).
-func (m *Mirror) Value(id int) int64 { return m.val[id-m.base] }
+func (m *Mirror) Value(id int) int64 { return m.val[id] }
 
 // NumViolating returns the current violator count.
 func (m *Mirror) NumViolating() int { return len(m.vio) }
@@ -130,7 +126,7 @@ func (m *Mirror) Len() int { return len(m.flt) }
 
 // AppendViolators appends the violating ids to dst in ascending id order,
 // reusing dst's capacity — the form Router.ScanList needs to preserve the
-// engines' id-ordered report contract. Sorting costs O(σ log σ) in the
+// engine's id-ordered report contract. Sorting costs O(σ log σ) in the
 // violator count σ; a quiet step (σ = 0) appends nothing.
 func (m *Mirror) AppendViolators(dst []int32) []int32 {
 	n := len(dst)

@@ -12,35 +12,34 @@ import (
 // reference value/filter vectors: the violator set holds exactly the ids
 // whose value lies outside their filter, each exactly once, with pos/vio
 // agreeing, and AppendViolators emits them in ascending id order.
-func checkMirror(t *testing.T, m *Mirror, base int, vals []int64, flts []filter.Interval) {
+func checkMirror(t *testing.T, m *Mirror, vals []int64, flts []filter.Interval) {
 	t.Helper()
 	if m.Len() != len(vals) {
 		t.Fatalf("mirror holds %d ids, want %d", m.Len(), len(vals))
 	}
 	want := 0
-	for i := range vals {
-		id := base + i
-		wantVio := !flts[i].Contains(vals[i])
+	for id := range vals {
+		wantVio := !flts[id].Contains(vals[id])
 		if wantVio {
 			want++
 		}
 		if m.Violating(id) != wantVio {
 			t.Fatalf("Violating(%d) = %v, want %v (value %d filter %+v)",
-				id, m.Violating(id), wantVio, vals[i], flts[i])
+				id, m.Violating(id), wantVio, vals[id], flts[id])
 		}
-		if m.Interval(id) != flts[i] {
-			t.Fatalf("Interval(%d) = %+v, want %+v", id, m.Interval(id), flts[i])
+		if m.Interval(id) != flts[id] {
+			t.Fatalf("Interval(%d) = %+v, want %+v", id, m.Interval(id), flts[id])
 		}
-		if m.Value(id) != vals[i] {
-			t.Fatalf("Value(%d) = %d, want %d", id, m.Value(id), vals[i])
+		if m.Value(id) != vals[id] {
+			t.Fatalf("Value(%d) = %d, want %d", id, m.Value(id), vals[id])
 		}
 	}
 	if m.NumViolating() != want {
 		t.Fatalf("NumViolating = %d, want %d", m.NumViolating(), want)
 	}
 	for p, id := range m.vio {
-		if m.pos[int(id)-base] != int32(p) {
-			t.Fatalf("pos[%d] = %d, vio has it at %d", int(id)-base, m.pos[int(id)-base], p)
+		if m.pos[id] != int32(p) {
+			t.Fatalf("pos[%d] = %d, vio has it at %d", id, m.pos[id], p)
 		}
 	}
 	got := m.AppendViolators(nil)
@@ -56,15 +55,15 @@ func checkMirror(t *testing.T, m *Mirror, base int, vals []int64, flts []filter.
 // assignments (including the re-assign-same and empty-filter edges) and
 // checks the violator set stays exact after every single operation.
 func TestMirrorRandomOps(t *testing.T) {
-	const base, n, ops = 7, 61, 4000
+	const n, ops = 61, 4000
 	r := rngx.New(99)
-	m := NewMirror(base, n)
+	m := NewMirror(n)
 	vals := make([]int64, n)
 	flts := make([]filter.Interval, n)
 	for i := range flts {
 		flts[i] = filter.All
 	}
-	checkMirror(t, m, base, vals, flts)
+	checkMirror(t, m, vals, flts)
 
 	for op := 0; op < ops; op++ {
 		i := r.Intn(n)
@@ -72,21 +71,21 @@ func TestMirrorRandomOps(t *testing.T) {
 		case 0, 1: // value move (small domain to force in/out flips)
 			v := r.Int63n(64)
 			vals[i] = v
-			m.SetValue(base+i, v)
+			m.SetValue(i, v)
 		case 2: // narrow filter
 			lo := r.Int63n(64)
 			iv := filter.Make(lo, lo+r.Int63n(8))
 			flts[i] = iv
-			m.SetFilter(base+i, iv)
+			m.SetFilter(i, iv)
 		case 3: // empty filter: everything violates
 			iv := filter.Make(9, 3)
 			flts[i] = iv
-			m.SetFilter(base+i, iv)
+			m.SetFilter(i, iv)
 		default: // all-admitting filter: nothing violates
 			flts[i] = filter.All
-			m.SetFilter(base+i, filter.All)
+			m.SetFilter(i, filter.All)
 		}
-		checkMirror(t, m, base, vals, flts)
+		checkMirror(t, m, vals, flts)
 	}
 
 	m.Reset()
@@ -94,14 +93,14 @@ func TestMirrorRandomOps(t *testing.T) {
 	for i := range flts {
 		flts[i] = filter.All
 	}
-	checkMirror(t, m, base, vals, flts)
+	checkMirror(t, m, vals, flts)
 }
 
 // TestMirrorAppendViolatorsReuses pins the zero-allocation contract of the
 // sweep path: AppendViolators reuses dst capacity and sorts only its own
 // suffix.
 func TestMirrorAppendViolatorsReuses(t *testing.T) {
-	m := NewMirror(0, 8)
+	m := NewMirror(8)
 	for _, id := range []int{6, 2, 4} {
 		m.SetFilter(id, filter.Make(5, 5)) // value 0 → violating
 	}

@@ -1,5 +1,5 @@
 // Package vindex maintains a value-bucketed index over node ids so that the
-// engines' predicate-routed primitives (Sweep, Collect) visit only the nodes
+// engine's predicate-routed primitives (Sweep, Collect) visit only the nodes
 // whose values can possibly match, instead of scanning all n nodes per
 // round — the step cost then tracks the number of plausible matchers (σ in
 // the paper's σ-dependent bounds), not n. The value-ordered organisation
@@ -58,7 +58,8 @@ var numBuckets = bits.Len64(uint64(eps.MaxValue)) + 1
 // BucketOf returns the bucket of value v: 0 for v ≤ 0, otherwise the number
 // of significant bits of v (so bucket b holds [2^(b-1), 2^b - 1]), clamped
 // to the last bucket for values beyond eps.MaxValue — those only appear as
-// query endpoints, never as indexed values (engines reject them on Advance).
+// query endpoints, never as indexed values (the engine rejects them on
+// Advance).
 func BucketOf(v int64) int {
 	if v <= 0 {
 		return 0
@@ -78,14 +79,14 @@ func FullRange(lo, hi int64) bool {
 	return lo <= 0 && hi >= eps.MaxValue
 }
 
-// Routable reports whether predicate p can be routed through the engines'
+// Routable reports whether predicate p can be routed through the engine's
 // index structures: the violation predicate through the filter-interval
 // Mirror, interval predicates through the value-bucket Index when their
 // Bounds do not cover the whole domain. The negation is exactly the
-// full-scan fallback both engines count through
+// full-scan fallback the engine counts through
 // metrics.Counters.IndexFallback — tag predicates (the only remaining
 // state-decided matches) and domain-covering intervals. The decision
-// depends on the predicate alone, so the engines can never disagree.
+// depends on the predicate alone, never on node state.
 func Routable(p wire.Pred) bool {
 	if p.Kind == wire.PredViolating {
 		return true
@@ -94,28 +95,25 @@ func Routable(p wire.Pred) bool {
 	return ok && !FullRange(lo, hi)
 }
 
-// Index is a value-bucket index over the node ids [base, base+n). The zero
-// value is not usable; construct with New.
+// Index is a value-bucket index over the node ids [0, n). The zero value
+// is not usable; construct with New.
 type Index struct {
-	base int
-
 	// byBucket holds every indexed id exactly once, grouped by ascending
 	// bucket; start[b] is the offset of bucket b's segment, so bucket b is
 	// byBucket[start[b]:start[b+1]] (possibly empty).
 	byBucket []int32
 	start    []int32
 
-	// pos[id-base] is the id's position in byBucket; bkt[id-base] its
-	// current bucket.
+	// pos[id] is the id's position in byBucket; bkt[id] its current
+	// bucket.
 	pos []int32
 	bkt []uint8
 }
 
-// New returns an index over the ids [base, base+n), all with value 0 — the
-// state engine construction and Reset leave every node in.
-func New(base, n int) *Index {
+// New returns an index over the ids [0, n), all with value 0 — the state
+// engine construction and Reset leave every node in.
+func New(n int) *Index {
 	ix := &Index{
-		base:     base,
 		byBucket: make([]int32, n),
 		start:    make([]int32, numBuckets+1),
 		pos:      make([]int32, n),
@@ -130,7 +128,7 @@ func New(base, n int) *Index {
 // nothing.
 func (ix *Index) Reset() {
 	for i := range ix.byBucket {
-		ix.byBucket[i] = int32(ix.base + i)
+		ix.byBucket[i] = int32(i)
 		ix.pos[i] = int32(i)
 		ix.bkt[i] = 0
 	}
@@ -145,14 +143,13 @@ func (ix *Index) Reset() {
 // boundaries — one swap plus one boundary shift each — so it costs
 // O(|bucket distance|) and never allocates.
 func (ix *Index) Update(id int, v int64) {
-	i := id - ix.base
 	nb := uint8(BucketOf(v))
-	ob := ix.bkt[i]
+	ob := ix.bkt[id]
 	if nb == ob {
 		return
 	}
-	ix.bkt[i] = nb
-	p := ix.pos[i]
+	ix.bkt[id] = nb
+	p := ix.pos[id]
 	for b := ob; b < nb; b++ {
 		// Swap to the end of bucket b, then pull b+1's boundary back over
 		// the id so it becomes the first element of bucket b+1.
@@ -177,7 +174,7 @@ func (ix *Index) swap(a, b int32) {
 	}
 	ia, ib := ix.byBucket[a], ix.byBucket[b]
 	ix.byBucket[a], ix.byBucket[b] = ib, ia
-	ix.pos[ia-int32(ix.base)], ix.pos[ib-int32(ix.base)] = b, a
+	ix.pos[ia], ix.pos[ib] = b, a
 }
 
 // Span returns the ids of every indexed node whose value could lie in
@@ -194,7 +191,7 @@ func (ix *Index) Span(lo, hi int64) []int32 {
 }
 
 // AppendSorted appends Span(lo, hi) to dst in ascending id order, reusing
-// dst's capacity — the form the engines use to preserve their id-ordered
+// dst's capacity — the form the engine uses to preserve its id-ordered
 // report contract. Sorting costs O(c log c) in the candidate count c, which
 // the full-range fallback (see FullRange) keeps below the O(n) scan it
 // replaces; slices.Sort on []int32 allocates nothing.
@@ -210,10 +207,9 @@ func (ix *Index) Len() int { return len(ix.byBucket) }
 
 // Router bundles the value-bucket Index and the filter-interval Mirror
 // with the reusable scratch that turns a predicate into an id-ordered node
-// scan list. It is the single place the routing policy lives, shared by
-// the lockstep engine and the live engine's worker shards — which
+// scan list. It is the single place the routing policy lives: which
 // predicates route through which structure and which fall back to the full
-// scan can therefore never diverge between engines.
+// scan.
 type Router struct {
 	// Idx is the bucket index over the routed nodes; callers own its
 	// maintenance (Update on value changes, Reset on engine reset).
@@ -229,7 +225,7 @@ type Router struct {
 }
 
 // ScanList returns the nodes a predicate-routed primitive must visit out
-// of nodes (whose i-th element must hold id base+i, the Idx id range), in
+// of nodes (whose i-th element must hold id i, the Idx id range), in
 // ascending id order: the mirror's violator set for the violation
 // predicate, the index candidates for a predicate's value bounds, or all
 // of nodes for the full-scan fallback — tag predicates and
@@ -238,7 +234,7 @@ type Router struct {
 // Router-owned scratch recycled by the next ScanList call (or nodes
 // itself); candidate values may lie outside the bounds (bucket
 // coarsening), so callers still Match every node.
-func (r *Router) ScanList(p wire.Pred, nodes []*nodecore.Node, base int) []*nodecore.Node {
+func (r *Router) ScanList(p wire.Pred, nodes []*nodecore.Node) []*nodecore.Node {
 	if !Routable(p) {
 		return nodes
 	}
@@ -250,7 +246,7 @@ func (r *Router) ScanList(p wire.Pred, nodes []*nodecore.Node, base int) []*node
 	}
 	r.scan = r.scan[:0]
 	for _, id := range r.cand {
-		r.scan = append(r.scan, nodes[int(id)-base])
+		r.scan = append(r.scan, nodes[id])
 	}
 	return r.scan
 }

@@ -12,7 +12,7 @@ import (
 // against a reference value vector: segment boundaries are monotone, every
 // id appears exactly once in byBucket, pos/bkt agree with the layout, and
 // each id sits in the bucket BucketOf(values[id]) demands.
-func checkInvariants(t *testing.T, ix *Index, base int, values []int64) {
+func checkInvariants(t *testing.T, ix *Index, values []int64) {
 	t.Helper()
 	if len(ix.byBucket) != len(values) {
 		t.Fatalf("index holds %d ids, want %d", len(ix.byBucket), len(values))
@@ -35,9 +35,9 @@ func checkInvariants(t *testing.T, ix *Index, base int, values []int64) {
 				t.Fatalf("id %d appears twice in byBucket", id)
 			}
 			seen[id] = true
-			i := int(id) - base
+			i := int(id)
 			if i < 0 || i >= len(values) {
-				t.Fatalf("foreign id %d (base %d, n %d)", id, base, len(values))
+				t.Fatalf("foreign id %d (n %d)", id, len(values))
 			}
 			if ix.pos[i] != p {
 				t.Fatalf("pos[%d] = %d, byBucket has it at %d", i, ix.pos[i], p)
@@ -81,11 +81,11 @@ func TestFullRange(t *testing.T) {
 // including magnitude jumps across many buckets — and checks the structural
 // invariants and span correctness after every batch.
 func TestIndexRandomUpdates(t *testing.T) {
-	const n, base, rounds = 97, 1000, 60
+	const n, rounds = 97, 60
 	r := rngx.New(42)
-	ix := New(base, n)
+	ix := New(n)
 	values := make([]int64, n)
-	checkInvariants(t, ix, base, values)
+	checkInvariants(t, ix, values)
 
 	for round := 0; round < rounds; round++ {
 		for upd := 0; upd < n/3; upd++ {
@@ -103,9 +103,9 @@ func TestIndexRandomUpdates(t *testing.T) {
 				v = eps.MaxValue - r.Int63n(1<<20)
 			}
 			values[i] = v
-			ix.Update(base+i, v)
+			ix.Update(i, v)
 		}
-		checkInvariants(t, ix, base, values)
+		checkInvariants(t, ix, values)
 
 		// Span must contain every id whose value is in [lo, hi] (the
 		// necessary-condition direction the engines rely on).
@@ -117,15 +117,15 @@ func TestIndexRandomUpdates(t *testing.T) {
 			got[id] = true
 		}
 		for i, v := range values {
-			if v >= lo && v <= hi && !got[int32(base+i)] {
+			if v >= lo && v <= hi && !got[int32(i)] {
 				t.Fatalf("round %d: id %d value %d in [%d,%d] missing from span",
-					round, base+i, v, lo, hi)
+					round, i, v, lo, hi)
 			}
 		}
 		// And nothing outside the bucket coarsening of [lo, hi].
 		bLo, bHi := BucketOf(lo), BucketOf(hi)
 		for _, id := range span {
-			b := BucketOf(values[int(id)-base])
+			b := BucketOf(values[id])
 			if b < bLo || b > bHi {
 				t.Fatalf("round %d: span leaked id %d from bucket %d outside [%d,%d]",
 					round, id, b, bLo, bHi)
@@ -138,11 +138,11 @@ func TestIndexRandomUpdates(t *testing.T) {
 	for i := range values {
 		values[i] = 0
 	}
-	checkInvariants(t, ix, base, values)
+	checkInvariants(t, ix, values)
 }
 
 func TestSpanEdges(t *testing.T) {
-	ix := New(0, 8)
+	ix := New(8)
 	for i := 0; i < 8; i++ {
 		ix.Update(i, int64(1)<<i) // values 1,2,4,...,128: buckets 1..8
 	}
@@ -160,7 +160,7 @@ func TestSpanEdges(t *testing.T) {
 
 func TestAppendSortedOrdersAndReuses(t *testing.T) {
 	const n = 64
-	ix := New(0, n)
+	ix := New(n)
 	r := rngx.New(7)
 	for i := 0; i < n; i++ {
 		ix.Update(i, r.Int63n(1<<20))

@@ -75,7 +75,7 @@
 // be replayed — so the frontend compacts by atomically rewriting the log
 // to a single fresh config record (Store.Compact: temp file + fsync +
 // rename). Seq watermarks survive compaction via the snapshot written in
-// the same breath. Batches within a live epoch are never dropped; that is
+// the same breath. Batches within the current epoch are never dropped; that is
 // exactly the byte-identical-recovery guarantee.
 package wal
 

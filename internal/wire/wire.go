@@ -6,10 +6,9 @@
 // Everything here is a pure value: Report, Pred, and FilterRule contain no
 // slices or maps, so engines may copy them freely into reused batch buffers
 // and protocols may keep one FilterRule and mutate it between broadcasts
-// (the engines guarantee a broadcast rule is applied — or copied — before
-// BroadcastRule returns; see the contract on cluster.Cluster). This
-// copy-by-value property is what the engines' zero-allocation steady state
-// is built on.
+// (the engine applies a broadcast rule before BroadcastRule returns; see
+// the contract on cluster.Cluster). This copy-by-value property is what
+// the engine's zero-allocation steady state is built on.
 package wire
 
 import (
@@ -134,7 +133,7 @@ type Pred struct {
 }
 
 // Bounds returns the value interval a matching node's value must lie in —
-// the contract the engines' value-bucket routing is built on (see
+// the contract the engine's value-bucket routing is built on (see
 // internal/vindex): when ok is true, a node whose value is outside [lo, hi]
 // can never match p, so Sweep/Collect may restrict their scan to the nodes
 // plausibly in range. The interval is a NECESSARY condition only —
@@ -142,7 +141,7 @@ type Pred struct {
 // and PredAboveActive additionally requires max-find activity). ok is false
 // for predicates decided by non-value node state — PredViolating (per-node
 // filters) and PredHasTag (tags). PredViolating is nevertheless routable:
-// filters are server-assigned, so the engines resolve it from their
+// filters are server-assigned, so the engine resolves it from its
 // filter-interval mirror (vindex.Mirror) instead of these bounds; only
 // PredHasTag (and domain-covering intervals) still take the full node
 // scan.

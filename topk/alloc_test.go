@@ -9,7 +9,7 @@ import (
 
 // mkSteady returns a warmed-up monitor plus the pre-generated step batches
 // the steady-state alloc tests and benchmarks cycle through.
-func mkSteady(tb testing.TB, engOpts ...topk.Option) (*topk.Monitor, [][]topk.Update) {
+func mkSteady(tb testing.TB, extra ...topk.Option) (*topk.Monitor, [][]topk.Update) {
 	tb.Helper()
 	const n, k, pregen = 64, 8, 512
 	trace := mkTrace(n, pregen, 13)
@@ -20,7 +20,7 @@ func mkSteady(tb testing.TB, engOpts ...topk.Option) (*topk.Monitor, [][]topk.Up
 			batches[t][i] = topk.Update{Node: i, Value: v}
 		}
 	}
-	opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(5)}, engOpts...)
+	opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(5)}, extra...)
 	m, err := topk.New(k, topk.WrapEps(eps.MustNew(1, 8)), opts...)
 	if err != nil {
 		tb.Fatal(err)
@@ -30,24 +30,23 @@ func mkSteady(tb testing.TB, engOpts ...topk.Option) (*topk.Monitor, [][]topk.Up
 
 // TestFacadeStepAllocs enforces the acceptance budget of the push API: in
 // steady state, UpdateBatch (one full monitored time step), single-node
-// Update (staging), TopK, Cost, and Check allocate nothing — on both
-// engines. This is the benchmark-tracked property asserted as a test so CI
-// fails on regressions without running benchmarks.
+// Update (staging), TopK, Cost, and Check allocate nothing — bare and with
+// the fault layer armed. This is the benchmark-tracked property asserted as
+// a test so CI fails on regressions without running benchmarks.
 func TestFacadeStepAllocs(t *testing.T) {
-	engines := []struct {
+	cases := []struct {
 		name string
 		opts []topk.Option
 	}{
 		{"lockstep", nil},
-		{"live/m=3", []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)}},
 		// A zero fault plan arms the injector wrapper and the per-step
 		// supervisor; the whole fault layer must stay on the zero-alloc
 		// budget when nothing is injected.
 		{"lockstep/faults=zero", []topk.Option{topk.WithFaults(&topk.FaultPlan{})}},
 	}
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			m, batches := mkSteady(t, eng.opts...)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, batches := mkSteady(t, tc.opts...)
 			defer m.Close()
 			i := 0
 			step := func() {
@@ -109,30 +108,19 @@ func TestFacadeStepAllocs(t *testing.T) {
 // drifting walk) through the public API; 0 allocs/op is the enforced
 // budget (TestFacadeStepAllocs).
 func BenchmarkFacadeUpdateBatch(b *testing.B) {
-	engines := []struct {
-		name string
-		opts []topk.Option
-	}{
-		{"lockstep", nil},
-		{"live", []topk.Option{topk.WithEngine(topk.Live)}},
+	m, batches := mkSteady(b)
+	defer m.Close()
+	for i := 0; i < 64; i++ {
+		if err := m.UpdateBatch(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, eng := range engines {
-		b.Run(eng.name, func(b *testing.B) {
-			m, batches := mkSteady(b, eng.opts...)
-			defer m.Close()
-			for i := 0; i < 64; i++ {
-				if err := m.UpdateBatch(batches[i%len(batches)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.UpdateBatch(batches[i%len(batches)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.UpdateBatch(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -53,8 +53,8 @@ func chaosRun(t *testing.T, m *topk.Monitor, trace [][]int64) chaosTrail {
 }
 
 // TestChaosNoSilentWrongAnswers is the acceptance proof of the fault layer:
-// across drop rates {0, 0.01, 0.1, 0.3}, two crash schedules, and both
-// engines, every committed step either validates against the built-in
+// across drop rates {0, 0.01, 0.1, 0.3} and two crash schedules, every
+// committed step either validates against the built-in
 // referee or is explicitly flagged non-Fresh. The matrix also proves it is
 // not vacuous — the injector demonstrably drops messages, and the heavy
 // corner demonstrably forces resyncs.
@@ -64,39 +64,36 @@ func TestChaosNoSilentWrongAnswers(t *testing.T) {
 	trace := mkTrace(n, steps, 3)
 
 	var sawDrop, sawResync, sawNonFresh bool
-	for _, engine := range []topk.EngineKind{topk.Lockstep, topk.Live} {
-		for _, rate := range []float64{0, 0.01, 0.1, 0.3} {
-			for si, sched := range chaosSchedules() {
-				name := fmt.Sprintf("%v/drop=%v/sched=%d", engine, rate, si)
-				t.Run(name, func(t *testing.T) {
-					plan := &topk.FaultPlan{
-						Drop:    rate,
-						Dup:     rate / 2,
-						Delay:   rate / 2,
-						Crashes: sched,
+	for _, rate := range []float64{0, 0.01, 0.1, 0.3} {
+		for si, sched := range chaosSchedules() {
+			name := fmt.Sprintf("lockstep/drop=%v/sched=%d", rate, si)
+			t.Run(name, func(t *testing.T) {
+				plan := &topk.FaultPlan{
+					Drop:    rate,
+					Dup:     rate / 2,
+					Delay:   rate / 2,
+					Crashes: sched,
+				}
+				m, err := topk.New(k, topk.WrapEps(e),
+					topk.WithNodes(n), topk.WithSeed(seed),
+					topk.WithFaults(plan))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				trail := chaosRun(t, m, trace)
+				if trail.cost.DroppedMsgs > 0 {
+					sawDrop = true
+				}
+				if trail.cost.Resyncs > 0 {
+					sawResync = true
+				}
+				for _, h := range trail.healths {
+					if h.State != topk.Fresh {
+						sawNonFresh = true
 					}
-					m, err := topk.New(k, topk.WrapEps(e),
-						topk.WithNodes(n), topk.WithSeed(seed),
-						topk.WithEngine(engine), topk.WithShards(3),
-						topk.WithFaults(plan))
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer m.Close()
-					trail := chaosRun(t, m, trace)
-					if trail.cost.DroppedMsgs > 0 {
-						sawDrop = true
-					}
-					if trail.cost.Resyncs > 0 {
-						sawResync = true
-					}
-					for _, h := range trail.healths {
-						if h.State != topk.Fresh {
-							sawNonFresh = true
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 	if !sawDrop {
@@ -135,37 +132,6 @@ func TestChaosReplayByteIdentical(t *testing.T) {
 	ta, tb := chaosRun(t, a, trace), chaosRun(t, b, trace)
 	if !reflect.DeepEqual(ta, tb) {
 		t.Fatalf("identical chaotic runs diverge:\na: %+v\nb: %+v", ta.cost, tb.cost)
-	}
-}
-
-// TestChaosEngineConformance: the same chaotic run on lockstep and on the
-// sharded live engine yields identical outputs, health, and bills — the
-// fault layer preserves the engines' observable equivalence.
-func TestChaosEngineConformance(t *testing.T) {
-	const n, k, steps, seed = 24, 4, 80, 9
-	e := eps.MustNew(1, 8)
-	trace := mkTrace(n, steps, 3)
-	plan := func() *topk.FaultPlan {
-		return &topk.FaultPlan{Drop: 0.1, Dup: 0.05, Delay: 0.05, Crashes: chaosSchedules()[0]}
-	}
-
-	ls, err := topk.New(k, topk.WrapEps(e), topk.WithNodes(n),
-		topk.WithSeed(seed), topk.WithFaults(plan()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
-	lv, err := topk.New(k, topk.WrapEps(e), topk.WithNodes(n),
-		topk.WithSeed(seed), topk.WithEngine(topk.Live), topk.WithShards(3),
-		topk.WithFaults(plan()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lv.Close()
-
-	tl, tv := chaosRun(t, ls, trace), chaosRun(t, lv, trace)
-	if !reflect.DeepEqual(tl, tv) {
-		t.Fatalf("chaotic runs diverge across engines:\nlockstep: %+v\nlive:     %+v", tl.cost, tv.cost)
 	}
 }
 

@@ -10,8 +10,7 @@
 //
 //	m, err := topk.New(4, topk.MustEpsilon(1, 8),
 //		topk.WithNodes(64),
-//		topk.WithEngine(topk.Live),
-//		topk.WithShards(4),
+//		topk.WithMonitor(topk.Approx),
 //		topk.WithSeed(7))
 //	defer m.Close()
 //
@@ -40,13 +39,13 @@
 // Reads ([Monitor.TopK], [Monitor.Cost], [Monitor.Check]) reflect the last
 // committed step; staged-but-unflushed pushes are not visible yet.
 //
-// # Engines, algorithms, correctness
+// # Engine, algorithms, correctness
 //
-// WithEngine selects the execution substrate: [Lockstep] (deterministic
-// sequential, the default — cheapest and bit-reproducible) or [Live]
-// (worker-sharded goroutines over channels, see WithShards). Both are
-// observably identical for equal seeds; the facade-equivalence tests prove
-// a pushed run byte-identical to driving the engines directly.
+// The n nodes run on one deterministic sequential engine: nodes are plain
+// structs and the model's rounds are loops, exactly the paper's synchronous
+// time steps, so every run is bit-reproducible from its seed. The
+// facade-equivalence tests prove a pushed run byte-identical to driving
+// the engine directly.
 //
 // WithMonitor selects the paper's algorithm: the Theorem 5.8 controller
 // [Approx] (default), the exact monitor [Exact] (Corollary 3.3; assumes
@@ -61,11 +60,10 @@
 // # Performance
 //
 // The steady-state push path allocates nothing: Update, UpdateBatch, and
-// TopK are 0 allocs/op on both engines (benchmark- and test-enforced),
-// riding on the engines' zero-allocation step pipeline. [Monitor.Reset]
-// rewinds monitor and engine to a fresh construction with a new seed while
-// keeping all buffers and goroutines, so long-running embedders can run
-// many sessions on one Monitor.
+// TopK are 0 allocs/op (benchmark- and test-enforced), riding on the
+// engine's zero-allocation step pipeline. [Monitor.Reset] rewinds monitor
+// and engine to a fresh construction with a new seed while keeping all
+// buffers, so long-running embedders can run many sessions on one Monitor.
 //
 // The Reset contract is also the replay-recovery contract: a Monitor is a
 // pure function of (config, seed, batch sequence), so persisting those

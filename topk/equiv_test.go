@@ -7,7 +7,6 @@ import (
 
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
-	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
 	"topkmon/internal/metrics"
 	"topkmon/internal/protocol"
@@ -75,8 +74,7 @@ func mkTrace(n, steps int, seed uint64) [][]int64 {
 // facade-driven run (UpdateBatch per step, engine and monitor built through
 // the public options) is byte-identical — per-step outputs, full counter
 // snapshot including kinds, rounds, bits, and index fallbacks, and epoch
-// count — to driving the engines directly, at n ∈ {16, 1024} on both
-// engines.
+// count — to driving the engine directly, at n ∈ {16, 1024}.
 func TestFacadeEquivalence(t *testing.T) {
 	const k = 4
 	const seed = 42
@@ -93,16 +91,6 @@ func TestFacadeEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("lockstep/n=%d", tc.n), func(t *testing.T) {
 			wantOuts, wantSnap, wantEpochs := directRun(lockstep.New(tc.n, seed), trace, k, e)
 			gotOuts, gotCost, gotEpochs, m := facadeRun(t, trace, k, e, seed)
-			defer m.Close()
-			assertEquivalent(t, wantOuts, wantSnap, wantEpochs, gotOuts, gotCost, gotEpochs)
-		})
-
-		t.Run(fmt.Sprintf("live/n=%d", tc.n), func(t *testing.T) {
-			direct := live.New(tc.n, seed, live.WithShards(4))
-			defer direct.Close()
-			wantOuts, wantSnap, wantEpochs := directRun(direct, trace, k, e)
-			gotOuts, gotCost, gotEpochs, m := facadeRun(t, trace, k, e, seed,
-				topk.WithEngine(topk.Live), topk.WithShards(4))
 			defer m.Close()
 			assertEquivalent(t, wantOuts, wantSnap, wantEpochs, gotOuts, gotCost, gotEpochs)
 		})

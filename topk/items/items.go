@@ -96,7 +96,7 @@ type Config struct {
 	Seed uint64
 	// Monitor is appended to the inner topk.New options, after the ones
 	// this package sets (nodes, seed) — e.g. topk.WithMonitor,
-	// topk.WithEngine.
+	// topk.WithFaults.
 	Monitor []topk.Option
 }
 

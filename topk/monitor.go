@@ -8,7 +8,6 @@ import (
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
 	"topkmon/internal/faults"
-	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
 	"topkmon/internal/metrics"
 	"topkmon/internal/oracle"
@@ -53,10 +52,9 @@ const subBuffer = 64
 type Monitor struct {
 	mu sync.Mutex
 
-	eng        cluster.Engine
-	ownsEngine bool
-	mkMon      func(cluster.Cluster) protocol.Monitor
-	mon        protocol.Monitor
+	eng   cluster.Engine
+	mkMon func(cluster.Cluster) protocol.Monitor
+	mon   protocol.Monitor
 
 	k    int
 	e    eps.Eps
@@ -94,7 +92,7 @@ type Monitor struct {
 
 // New returns a Monitor for the k largest of n node streams with error ε.
 // n comes from WithNodes (or an injected engine); the remaining options
-// have working defaults: Lockstep engine, Approx algorithm, seed 1.
+// have working defaults: Approx algorithm, seed 1.
 func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 	cfg := config{seed: 1}
 	for _, o := range opts {
@@ -115,26 +113,14 @@ func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 	}
 
 	eng := cfg.rawEngine
-	owns := false
 	if eng == nil {
-		owns = true
-		switch cfg.engine {
-		case Live:
-			eng = live.New(n, cfg.seed, live.WithShards(cfg.shards))
-		default:
-			eng = lockstep.New(n, cfg.seed)
-		}
+		eng = lockstep.New(n, cfg.seed)
 	}
 
 	var faulty *faults.Cluster
 	if cfg.faults != nil {
 		fp := cfg.faults.internal()
 		if err := fp.Validate(n); err != nil {
-			if owns {
-				if lc, ok := eng.(*live.Cluster); ok {
-					lc.Close()
-				}
-			}
 			return nil, err
 		}
 		faulty = faults.Wrap(eng, fp, cfg.seed)
@@ -143,7 +129,6 @@ func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 
 	m := &Monitor{
 		eng:           eng,
-		ownsEngine:    owns,
 		faulty:        faulty,
 		resyncBackoff: 1,
 		mkMon:         cfg.newMonitorFn(k, e.e),
@@ -358,9 +343,9 @@ type Cost struct {
 	// IndexFallbacks counts predicate-routed engine primitives that fell
 	// back to a full node scan (engine-side work, not message cost). Only
 	// tag predicates and domain-covering intervals full-scan; violation
-	// sweeps — once the dominant source — are routed through the engines'
+	// sweeps — once the dominant source — are routed through the engine's
 	// filter-interval mirror, so a settled monitor's quiet steps hold this
-	// counter flat (a regression test pins that on both engines).
+	// counter flat (a regression test pins that).
 	IndexFallbacks int64
 	// Fault-layer accounting, all zero without WithFaults: messages the
 	// injector lost for good / delivered twice, redelivery attempts by the
@@ -483,7 +468,7 @@ func (m *Monitor) Unsubscribe(ch <-chan Event) {
 
 // Reset rewinds the monitor to the state a fresh New with the given seed
 // would produce — engine state, counters, algorithm, value mirror, and
-// step count — while keeping every buffer, goroutine, and subscription.
+// step count — while keeping every buffer and subscription.
 // Staged-but-uncommitted pushes are discarded. A reset monitor replays a
 // fresh monitor's run bit for bit.
 func (m *Monitor) Reset(seed uint64) error {
@@ -511,10 +496,9 @@ func (m *Monitor) Reset(seed uint64) error {
 	return nil
 }
 
-// Close releases the monitor: subscription channels are closed and, when
-// the Monitor constructed its own Live engine, the engine's workers are
-// stopped. Staged-but-uncommitted pushes are discarded. Reads (TopK, Cost)
-// remain valid; mutations return ErrClosed. Close is idempotent.
+// Close releases the monitor: subscription channels are closed.
+// Staged-but-uncommitted pushes are discarded. Reads (TopK, Cost) remain
+// valid; mutations return ErrClosed. Close is idempotent.
 func (m *Monitor) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -526,14 +510,5 @@ func (m *Monitor) Close() error {
 		close(ch)
 	}
 	m.subs = nil
-	if m.ownsEngine {
-		eng := m.eng
-		if m.faulty != nil {
-			eng = m.faulty.Inner()
-		}
-		if lc, ok := eng.(*live.Cluster); ok {
-			lc.Close()
-		}
-	}
 	return nil
 }

@@ -6,32 +6,6 @@ import (
 	"topkmon/internal/protocol"
 )
 
-// EngineKind selects the execution substrate hosting the n nodes.
-type EngineKind int
-
-const (
-	// Lockstep is the deterministic sequential engine: nodes are plain
-	// structs, rounds are loops. The default — cheapest per step,
-	// bit-reproducible, and exactly the paper's synchronous model.
-	Lockstep EngineKind = iota
-	// Live is the concurrent engine: m worker goroutines (see WithShards)
-	// each own a contiguous shard of nodes and communicate over channels.
-	// Observably identical to Lockstep for equal seeds.
-	Live
-)
-
-// String implements fmt.Stringer.
-func (k EngineKind) String() string {
-	switch k {
-	case Lockstep:
-		return "lockstep"
-	case Live:
-		return "live"
-	default:
-		return "EngineKind(?)"
-	}
-}
-
 // Algorithm selects which of the paper's monitoring protocols runs on the
 // engine.
 type Algorithm int
@@ -83,11 +57,9 @@ func (a Algorithm) String() string {
 
 // config collects the construction options of New.
 type config struct {
-	nodes  int
-	engine EngineKind
-	shards int
-	algo   Algorithm
-	seed   uint64
+	nodes int
+	algo  Algorithm
+	seed  uint64
 
 	// faults, when non-nil, wraps the engine in the deterministic fault
 	// injector and arms the recovery supervisor (see WithFaults).
@@ -108,19 +80,6 @@ func WithNodes(n int) Option {
 	return func(c *config) { c.nodes = n }
 }
 
-// WithEngine selects the execution substrate (default Lockstep).
-func WithEngine(k EngineKind) Option {
-	return func(c *config) { c.engine = k }
-}
-
-// WithShards sets the Live engine's worker count m: each worker owns a
-// contiguous shard of roughly n/m nodes and its value-bucket partition.
-// m ≤ 0 (the default) means GOMAXPROCS; the shard count never affects
-// outputs, counters, or coin flips. Ignored by the Lockstep engine.
-func WithShards(m int) Option {
-	return func(c *config) { c.shards = m }
-}
-
 // WithMonitor selects the monitoring algorithm (default Approx).
 func WithMonitor(a Algorithm) Option {
 	return func(c *config) { c.algo = a }
@@ -137,7 +96,7 @@ func WithSeed(seed uint64) Option {
 // packages (the parameter type lives under internal/, so code outside this
 // module cannot call it): the engine must be freshly constructed or Reset —
 // all node values zero — because the Monitor mirrors values from that
-// state, and it stays owned by the caller (Close will not stop it).
+// state.
 func WithClusterEngine(e cluster.Engine) Option {
 	return func(c *config) { c.rawEngine = e }
 }

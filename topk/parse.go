@@ -27,18 +27,6 @@ func ParseEpsilon(s string) (Epsilon, error) {
 	return NewEpsilon(p, q)
 }
 
-// ParseEngine parses an [EngineKind] name: "lockstep" or "live".
-func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "lockstep":
-		return Lockstep, nil
-	case "live":
-		return Live, nil
-	default:
-		return 0, fmt.Errorf("topk: unknown engine %q (want lockstep|live)", s)
-	}
-}
-
 // ParseAlgorithm parses an [Algorithm] name. It accepts the canonical
 // String() forms plus the CLI's historical aliases ("topk" for
 // topk-protocol, "exact-mid" for exact).

@@ -148,39 +148,37 @@ func TestHeartbeatFlushIsQuiet(t *testing.T) {
 // TestQuietFlushNoIndexFallbacks is the facade-level quiet-step regression
 // for the filter-interval mirror: once the monitor has settled, heartbeat
 // flushes with unchanged values drain violations via mirror-routed sweeps,
-// so Cost.IndexFallbacks must not move — on either engine. A regression to
+// so Cost.IndexFallbacks must not move. A regression to
 // full-scan violation sweeps would not move this counter (full scans forced
 // by routing policy bill fallbacks only for unroutable predicates), but a
 // regression in the routing POLICY — PredViolating reclassified as
 // unroutable — shows up here immediately.
 func TestQuietFlushNoIndexFallbacks(t *testing.T) {
-	for name, ek := range map[string]topk.EngineKind{"lockstep": topk.Lockstep, "live": topk.Live} {
-		t.Run(name, func(t *testing.T) {
-			m, err := topk.New(2, topk.MustEpsilon(1, 4), topk.WithNodes(16), topk.WithEngine(ek))
-			if err != nil {
+	t.Run("lockstep", func(t *testing.T) {
+		m, err := topk.New(2, topk.MustEpsilon(1, 4), topk.WithNodes(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		updates := make([]topk.Update, 16)
+		for i := range updates {
+			updates[i] = topk.Update{Node: i, Value: int64(100 + i*10)}
+		}
+		if err := m.UpdateBatch(updates); err != nil {
+			t.Fatal(err)
+		}
+		settled := m.Cost()
+		for range 20 {
+			if err := m.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			defer m.Close()
-			updates := make([]topk.Update, 16)
-			for i := range updates {
-				updates[i] = topk.Update{Node: i, Value: int64(100 + i*10)}
-			}
-			if err := m.UpdateBatch(updates); err != nil {
-				t.Fatal(err)
-			}
-			settled := m.Cost()
-			for range 20 {
-				if err := m.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			c := m.Cost()
-			if c.IndexFallbacks != settled.IndexFallbacks {
-				t.Errorf("quiet flushes moved IndexFallbacks by %d, want 0",
-					c.IndexFallbacks-settled.IndexFallbacks)
-			}
-		})
-	}
+		}
+		c := m.Cost()
+		if c.IndexFallbacks != settled.IndexFallbacks {
+			t.Errorf("quiet flushes moved IndexFallbacks by %d, want 0",
+				c.IndexFallbacks-settled.IndexFallbacks)
+		}
+	})
 }
 
 func TestSubscribe(t *testing.T) {
@@ -275,12 +273,6 @@ func TestParsers(t *testing.T) {
 		if _, err := topk.ParseEpsilon(bad); err == nil {
 			t.Errorf("ParseEpsilon(%q) accepted", bad)
 		}
-	}
-	if k, err := topk.ParseEngine("live"); err != nil || k != topk.Live {
-		t.Errorf("ParseEngine(live) = %v, %v", k, err)
-	}
-	if _, err := topk.ParseEngine("vax"); err == nil {
-		t.Error("ParseEngine(vax) accepted")
 	}
 	for in, want := range map[string]topk.Algorithm{
 		"approx": topk.Approx, "exact": topk.Exact, "exact-mid": topk.Exact,
