@@ -6,9 +6,9 @@
 #   test2json event stream in $(BENCH_OUT) (default BENCH_local.json)
 #   alongside the human-readable console lines. Committed snapshots record
 #   the trajectory across PRs — BENCH_PR1.json (lockstep/oracle zero-alloc
-#   baseline), BENCH_PR2.json (batching of a concurrent engine no product path builds now
-#   + engine Reset reuse), BENCH_PR3.json (value-indexed node state: the
-#   σ-scaling table from `make bench-selectivity`), BENCH_PR7.json
+#   baseline), BENCH_PR2.json (batching of a since-removed concurrent
+#   engine + engine Reset reuse), BENCH_PR3.json (value-indexed node
+#   state: the σ-scaling table from `make bench-selectivity`), BENCH_PR7.json
 #   (filter-interval mirror: the violation-sweep before/after from
 #   `make bench-violation`) — and
 #   future PRs diff against them with benchstat or jq, e.g.:
@@ -57,8 +57,11 @@ vet:
 # internal/wal in turn imports only topk — so the whole server path still
 # consumes the supported API. Two sketch-layer rules complete the map:
 # internal/sketch is a stdlib-only leaf (no module imports at all), and
-# the public topk/items layer consumes only topk + internal/sketch. The
-# topk boundary tests pin the same rules inside `go test ./...`.
+# the public topk/items layer consumes only topk + internal/sketch. One
+# engine-side rule pins the node index as a leaf under the lockstep engine:
+# internal/vindex imports only internal/eps, internal/filter and
+# internal/wire from this module. The topk boundary tests pin the same
+# rules inside `go test ./...`.
 api-check:
 	@leaks=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./cmd/... ./examples/... \
 		| grep 'topkmon/internal' \
@@ -96,6 +99,13 @@ api-check:
 	if [ -n "$$itemsleaks" ]; then \
 		echo "topk/items may only consume topk and internal/sketch, but imports:"; \
 		echo "$$itemsleaks"; exit 1; \
+	fi
+	@vindexleaks=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/vindex \
+		| grep '^topkmon' | grep -v '^topkmon/internal/eps$$' | grep -v '^topkmon/internal/filter$$' \
+		| grep -v '^topkmon/internal/wire$$' || true); \
+	if [ -n "$$vindexleaks" ]; then \
+		echo "internal/vindex may only consume internal/eps, internal/filter and internal/wire, but imports:"; \
+		echo "$$vindexleaks"; exit 1; \
 	fi
 
 test:

@@ -31,9 +31,6 @@
 //	internal/lockstep   the deterministic engine: the paper's synchronous
 //	                    rounds as loops
 //	internal/vindex     value-bucket index and filter mirror of the engine
-//	internal/live       a sharded concurrent engine no product path builds;
-//	                    kept as a test reference (its tests prove it equals
-//	                    lockstep bit for bit) until it is deleted
 //	internal/offline    the offline optimum OPT (greedy segmentation)
 //	internal/oracle     ground truth + output validation
 //	internal/stream     workloads and adaptive adversaries;

@@ -31,9 +31,9 @@ func HotCold(vals []int64, sigma int) {
 // HotInterval returns the predicate isolating HotCold's hot bucket.
 func HotInterval() wire.Pred { return wire.InRange(1<<30, 1<<31-1) }
 
-// E12Selectivity measures the value index added with the sharded node
-// state: the number of node structs a predicate-routed Collect actually
-// visits as a function of the plausible-matcher count σ and of n. With the
+// E12Selectivity measures the engine's value-ordered node index: the
+// number of node structs a predicate-routed Collect actually visits as a
+// function of the plausible-matcher count σ and of n. With the
 // power-of-two bucket index, visits track σ (here the isolated hot nodes)
 // and stay flat as the cold population grows; the state-decided fallback
 // (a tag collect) keeps visiting all n nodes. Visits are deterministic —
@@ -45,7 +45,7 @@ func E12Selectivity() Experiment {
 	return Experiment{
 		ID:    "E12",
 		Title: "Value-index selectivity: visited nodes track σ, not n",
-		Claim: "ROADMAP sharded state: Sweep/Collect cost O(σ + log Δ) candidates, not n (cf. arXiv:1410.7912, arXiv:1709.07259)",
+		Claim: "value-ordered node index: Sweep/Collect cost O(σ + log Δ) candidates, not n (cf. arXiv:1410.7912, arXiv:1709.07259)",
 		Run: func(o Options) []*metrics.Table {
 			ns := []int{256, 4096, 16384}
 			if o.Quick {

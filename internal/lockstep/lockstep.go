@@ -36,13 +36,17 @@ type Engine struct {
 	rng   *rngx.Source
 	maxV  int64 // running Δ for message-size accounting
 
-	// router holds the value-bucket index (maintained on Advance) and the
+	// idx is the value-bucket index (maintained on Advance) and mir the
 	// filter-interval mirror (maintained at every filter assignment) over
-	// the nodes, plus the scratch that turns predicates into id-ordered
-	// scan lists. visited counts the node structs predicate-routed
-	// primitives actually touched — the observable the index shrinks from
-	// n per round to the plausible-matcher count (reported by E12).
-	router  vindex.Router
+	// the nodes; cand and scan are the scratch scanList turns predicates
+	// into id-ordered scan lists with. visited counts the node structs
+	// predicate-routed primitives actually touched — the observable the
+	// index shrinks from n per round to the plausible-matcher count
+	// (reported by E12).
+	idx     *vindex.Index
+	mir     *vindex.Mirror
+	cand    []int32
+	scan    []*nodecore.Node
 	visited int64
 
 	// FullScan forces the full-scan path everywhere. Ablation scaffolding
@@ -78,11 +82,12 @@ func New(n int, seed uint64) *Engine {
 	}
 	root := rngx.New(seed)
 	e := &Engine{
-		nodes:  make([]*nodecore.Node, n),
-		ctr:    metrics.NewCounters(),
-		rng:    root.Child(serverRNG),
-		maxV:   1,
-		router: vindex.Router{Idx: vindex.New(n), Mir: vindex.NewMirror(n)},
+		nodes: make([]*nodecore.Node, n),
+		ctr:   metrics.NewCounters(),
+		rng:   root.Child(serverRNG),
+		maxV:  1,
+		idx:   vindex.New(n),
+		mir:   vindex.NewMirror(n),
 	}
 	for i := range e.nodes {
 		e.nodes[i] = nodecore.New(i, root)
@@ -103,8 +108,8 @@ func (e *Engine) Reset(seed uint64) {
 	e.ctr.Reset()
 	e.rng.Reseed(root.ChildSeed(serverRNG))
 	e.maxV = 1
-	e.router.Idx.Reset()
-	e.router.Mir.Reset()
+	e.idx.Reset()
+	e.mir.Reset()
 	e.visited = 0
 	e.DirectReports = false
 	e.FullScan = false
@@ -131,8 +136,8 @@ func (e *Engine) Advance(values []int64) {
 			panic(fmt.Sprintf("lockstep: value %d for node %d outside [0, %d]", v, i, eps.MaxValue))
 		}
 		nd.Observe(v)
-		e.router.Idx.Update(i, v)
-		e.router.Mir.SetValue(i, v)
+		e.idx.Update(i, v)
+		e.mir.SetValue(i, v)
 		if v > e.maxV {
 			e.maxV = v
 		}
@@ -181,13 +186,6 @@ func (e *Engine) Tags() []wire.Tag {
 	return ts
 }
 
-// Node exposes one node for white-box tests. Not part of the cluster
-// interfaces and never used by protocols. Callers must treat the node as
-// read-only: mutating Value or Filter behind the engine's back desyncs the
-// value index and the filter mirror (see the nodecore state-mutation
-// contract) — assign filters through SetFilter instead.
-func (e *Engine) Node(i int) *nodecore.Node { return e.nodes[i] }
-
 // VisitedNodes returns the cumulative number of node structs the
 // predicate-routed primitives (Sweep, DetectViolation, Collect) have
 // touched since construction or the last Reset — per sweep round, the size
@@ -197,10 +195,16 @@ func (e *Engine) Node(i int) *nodecore.Node { return e.nodes[i] }
 func (e *Engine) VisitedNodes() int64 { return e.visited }
 
 // scanList returns the nodes a predicate-routed primitive must visit, in
-// ascending id order — vindex.Router.ScanList (the routing policy) behind
-// the FullScan ablation toggle. Non-routable predicates bill one full-scan
-// fallback on the counters; the decision is predicate-only, so the FullScan
-// toggle never perturbs the count.
+// ascending id order. It is the engine's one routing policy: the mirror's
+// violator set for the violation predicate, the index candidates for a
+// predicate's value bounds, or all nodes for the full-scan fallback — tag
+// predicates and domain-covering intervals (e.g. AboveActive(-1)), where
+// routing could prune nothing and sorting candidates would only add cost.
+// Non-routable predicates bill one full-scan fallback on the counters; the
+// decision is predicate-only, so the FullScan ablation toggle never
+// perturbs the count. The result is engine scratch recycled by the next
+// call (or e.nodes itself); candidate values may lie outside the bounds
+// (bucket coarsening), so callers still Match every node.
 func (e *Engine) scanList(p wire.Pred) []*nodecore.Node {
 	if !vindex.Routable(p) {
 		e.ctr.IndexFallback()
@@ -209,7 +213,17 @@ func (e *Engine) scanList(p wire.Pred) []*nodecore.Node {
 	if e.FullScan {
 		return e.nodes
 	}
-	return e.router.ScanList(p, e.nodes)
+	if p.Kind == wire.PredViolating {
+		e.cand = e.mir.AppendViolators(e.cand[:0])
+	} else {
+		lo, hi, _ := p.Bounds()
+		e.cand = e.idx.AppendSorted(e.cand[:0], lo, hi)
+	}
+	e.scan = e.scan[:0]
+	for _, id := range e.cand {
+		e.scan = append(e.scan, e.nodes[id])
+	}
+	return e.scan
 }
 
 func (e *Engine) count(ch metrics.Channel, k wire.Kind) {
@@ -224,7 +238,7 @@ func (e *Engine) BroadcastRule(rule *wire.FilterRule) {
 	e.ctr.Rounds(1)
 	for _, nd := range e.nodes {
 		nd.ApplyFilterRule(rule)
-		e.router.Mir.SetFilter(nd.ID, nd.Filter)
+		e.mir.SetFilter(nd.ID, nd.Filter)
 	}
 }
 
@@ -232,7 +246,7 @@ func (e *Engine) BroadcastRule(rule *wire.FilterRule) {
 func (e *Engine) SetFilter(id int, iv filter.Interval) {
 	e.count(metrics.ServerToNode, wire.KindSetFilter)
 	e.nodes[id].SetFilter(iv)
-	e.router.Mir.SetFilter(id, iv)
+	e.mir.SetFilter(id, iv)
 }
 
 // SetTagFilter implements cluster.Cluster.
@@ -241,7 +255,7 @@ func (e *Engine) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
 	nd := e.nodes[id]
 	nd.SetTag(t)
 	nd.SetFilter(iv)
-	e.router.Mir.SetFilter(id, iv)
+	e.mir.SetFilter(id, iv)
 }
 
 // Probe implements cluster.Cluster.

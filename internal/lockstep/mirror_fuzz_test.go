@@ -16,7 +16,7 @@ import (
 // sweeps return different reports than a full scan.
 func checkMirrorMatchesNodes(t *testing.T, e *Engine) {
 	t.Helper()
-	m := e.router.Mir
+	m := e.mir
 	for _, nd := range e.nodes {
 		if got := m.Interval(nd.ID); got != nd.Filter {
 			t.Fatalf("mirror interval for node %d = %+v, node has %+v", nd.ID, got, nd.Filter)

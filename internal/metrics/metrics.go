@@ -282,59 +282,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return d
 }
 
-// Summary holds basic statistics over a sample of float64 observations.
-type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	Median, P90    float64
-	ObservationSum float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields the zero value.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, x := range xs {
-		s.ObservationSum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.ObservationSum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = quantile(sorted, 0.5)
-	s.P90 = quantile(sorted, 0.9)
-	return s
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	i := int(pos)
-	if i >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(i)
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
 // Table renders aligned text tables for experiment output.
 type Table struct {
 	Title   string

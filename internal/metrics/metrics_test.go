@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -124,33 +123,6 @@ func TestFaultCounters(t *testing.T) {
 func TestChannelString(t *testing.T) {
 	if NodeToServer.String() == "" || ServerToNode.String() == "" || Broadcast.String() == "" {
 		t.Error("channels must render")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("Summary wrong: %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(2.5)) > 1e-9 {
-		t.Errorf("Std = %f", s.Std)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Error("empty summary must be zero")
-	}
-	one := Summarize([]float64{7})
-	if one.Mean != 7 || one.Std != 0 || one.P90 != 7 {
-		t.Errorf("single-sample summary wrong: %+v", one)
-	}
-}
-
-func TestQuantileInterpolation(t *testing.T) {
-	s := Summarize([]float64{0, 10})
-	if math.Abs(s.Median-5) > 1e-9 {
-		t.Errorf("median of {0,10} = %f", s.Median)
-	}
-	if math.Abs(s.P90-9) > 1e-9 {
-		t.Errorf("p90 of {0,10} = %f", s.P90)
 	}
 }
 

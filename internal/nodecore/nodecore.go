@@ -1,5 +1,5 @@
-// Package nodecore implements the node-local state and behaviour an engine
-// hosts.
+// Package nodecore implements the node-local state and behaviour the
+// lockstep engine hosts.
 //
 // A node owns: its current stream value, its assigned filter, a protocol tag
 // (V1/V2/S1-style set membership, updated by server messages), and a
@@ -19,9 +19,7 @@
 // value-bucket index and filter-interval mirror (internal/vindex)
 // consistent — it re-indexes a node exactly at those points — so any new
 // mutation of Value or Filter must notify the owning engine's structures
-// as well. In particular, harness code must never mutate a node reached
-// through an engine's white-box Node accessor; it assigns filters through
-// the engine's SetFilter instead.
+// as well.
 package nodecore
 
 import (

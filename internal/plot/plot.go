@@ -153,37 +153,6 @@ func placeLabel(lab []byte, pos int, text string) {
 	copy(lab[start:], text)
 }
 
-// Bars renders a horizontal bar chart of labelled values.
-func Bars(title string, labels []string, values []float64, width int) string {
-	if len(labels) != len(values) || len(labels) == 0 || width < 16 {
-		return ""
-	}
-	maxV := math.Inf(-1)
-	maxLab := 0
-	for i, v := range values {
-		maxV = math.Max(maxV, v)
-		if len(labels[i]) > maxLab {
-			maxLab = len(labels[i])
-		}
-	}
-	if maxV <= 0 {
-		maxV = 1
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	for i, v := range values {
-		n := int(math.Round(v / maxV * float64(width)))
-		if n < 1 && v > 0 {
-			n = 1
-		}
-		fmt.Fprintf(&b, "%-*s |%s %s\n", maxLab, labels[i],
-			strings.Repeat("█", n), formatY(v))
-	}
-	return b.String()
-}
-
 func formatY(v float64) string {
 	switch {
 	case v == math.Trunc(v) && math.Abs(v) < 1e6:

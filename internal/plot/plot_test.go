@@ -50,38 +50,3 @@ func TestLineConstantSeries(t *testing.T) {
 		t.Errorf("constant series failed:\n%s", out)
 	}
 }
-
-func TestBars(t *testing.T) {
-	out := Bars("msgs", []string{"naive", "approx"}, []float64{100, 10}, 30)
-	if !strings.Contains(out, "naive") || !strings.Contains(out, "█") {
-		t.Errorf("bars missing content:\n%s", out)
-	}
-	naiveLine, approxLine := "", ""
-	for _, l := range strings.Split(out, "\n") {
-		if strings.HasPrefix(l, "naive") {
-			naiveLine = l
-		}
-		if strings.HasPrefix(l, "approx") {
-			approxLine = l
-		}
-	}
-	if strings.Count(naiveLine, "█") <= strings.Count(approxLine, "█") {
-		t.Errorf("bar lengths not proportional:\n%s", out)
-	}
-}
-
-func TestBarsRejectsBadInput(t *testing.T) {
-	if Bars("", []string{"a"}, []float64{1, 2}, 30) != "" {
-		t.Error("mismatched bars accepted")
-	}
-	if Bars("", nil, nil, 30) != "" {
-		t.Error("empty bars accepted")
-	}
-}
-
-func TestBarsZeroValues(t *testing.T) {
-	out := Bars("", []string{"a", "b"}, []float64{0, 0}, 20)
-	if out == "" {
-		t.Error("zero bars should still render labels")
-	}
-}

@@ -5,8 +5,6 @@
 // proofs, and write-ahead-log recovery.
 package rngx
 
-import "math"
-
 // Source is a splitmix64 PRNG. The zero value is a valid source seeded at 0;
 // prefer New to decorrelate streams.
 type Source struct {
@@ -91,17 +89,4 @@ func (s *Source) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method
-// without caching the second variate, keeping consumption order replayable).
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
 }

@@ -65,6 +65,21 @@ func DecodeBatch(r io.Reader, dst []topk.Update, max int) ([]topk.Update, error)
 	return dst, nil
 }
 
+// decodeOne strictly decodes a request body holding exactly one JSON value
+// into v: unknown fields are rejected, and so is anything but whitespace
+// after the value, as DecodeBatch rejects data after the batch array.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON value")
+	}
+	return nil
+}
+
 // ParseIngestID extracts the idempotency parameters of an update request:
 // ?client= names the retrying client (any short string; "" is a valid
 // single-client identity) and ?seq= is its positive sequence number. seq

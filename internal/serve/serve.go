@@ -332,9 +332,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
 	var req createRequest
 	if r.ContentLength != 0 {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeOne(http.MaxBytesReader(w, r.Body, s.maxBody), &req); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: config: %w", err))
 			return
 		}
@@ -448,9 +446,7 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	}
 	req := resetRequest{Seed: t.Cfg.Seed}
 	if r.ContentLength != 0 {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeOne(http.MaxBytesReader(w, r.Body, s.maxBody), &req); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: reset: %w", err))
 			return
 		}

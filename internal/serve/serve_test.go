@@ -71,7 +71,9 @@ func TestTenantLifecycle(t *testing.T) {
 
 	// Configs naming an engine predate the single engine: "lockstep" and
 	// "live" (with any shard count) still create, the keys are dropped from
-	// the echoed config, and any other engine name is still rejected.
+	// the echoed config, and any other engine name is still rejected. A
+	// body is exactly one object: data after it is rejected and creates
+	// nothing.
 	for _, tc := range []struct {
 		name, body string
 		status     int
@@ -79,6 +81,9 @@ func TestTenantLifecycle(t *testing.T) {
 		{"legacy-live", `{"engine":"live","shards":2}`, http.StatusCreated},
 		{"legacy-lockstep", `{"engine":"lockstep"}`, http.StatusCreated},
 		{"unknown-engine", `{"engine":"gpu"}`, http.StatusBadRequest},
+		{"one-object", "{\"nodes\":8}\n", http.StatusCreated},
+		{"trailing-object", `{"nodes":8}{"nodes":9999}`, http.StatusBadRequest},
+		{"trailing-garbage", `{"nodes":8} garbage`, http.StatusBadRequest},
 	} {
 		rec := do(t, s, "PUT", "/v1/"+tc.name, tc.body)
 		if rec.Code != tc.status {
@@ -86,6 +91,11 @@ func TestTenantLifecycle(t *testing.T) {
 		}
 		if strings.Contains(rec.Body.String(), `"shards"`) || strings.Contains(rec.Body.String(), `"engine"`) {
 			t.Errorf("%s: response echoes a legacy key: %s", tc.name, rec.Body.String())
+		}
+		if tc.status != http.StatusCreated {
+			if got := do(t, s, "GET", "/v1/"+tc.name, "").Code; got != http.StatusNotFound {
+				t.Errorf("%s: rejected create left a tenant (GET status %d)", tc.name, got)
+			}
 		}
 	}
 
@@ -125,7 +135,17 @@ func TestTenantLifecycle(t *testing.T) {
 		t.Fatalf("health response = %+v", hr)
 	}
 
-	// Reset rewinds the step count.
+	// A reset body with data after its one object is rejected and resets
+	// nothing; a clean one rewinds the step count.
+	for _, body := range []string{`{"seed":3}{"seed":4}`, `{"seed":3} garbage`} {
+		wantStatus(t, do(t, s, "POST", "/v1/web/reset", body), http.StatusBadRequest)
+	}
+	rec = do(t, s, "GET", "/v1/web", "")
+	wantStatus(t, rec, http.StatusOK)
+	json.Unmarshal(rec.Body.Bytes(), &info)
+	if info.Steps != 3 {
+		t.Fatalf("steps after rejected resets = %d, want 3", info.Steps)
+	}
 	wantStatus(t, do(t, s, "POST", "/v1/web/reset", `{"seed":5}`), http.StatusOK)
 	rec = do(t, s, "GET", "/v1/web", "")
 	wantStatus(t, rec, http.StatusOK)

@@ -191,7 +191,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 
 // TestObserveAllocs enforces the construction-time allocation budget:
 // steady-state Observe (and Estimate, and Heavy into a reused buffer)
-// allocate nothing, the sketch analogue of TestLiveStepAllocs.
+// allocate nothing, the sketch analogue of TestFacadeStepAllocs.
 func TestObserveAllocs(t *testing.T) {
 	const items, events = 512, 4000
 	trace := zipfTrace(items, events, 1.1, 9)

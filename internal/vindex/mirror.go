@@ -125,8 +125,8 @@ func (m *Mirror) NumViolating() int { return len(m.vio) }
 func (m *Mirror) Len() int { return len(m.flt) }
 
 // AppendViolators appends the violating ids to dst in ascending id order,
-// reusing dst's capacity — the form Router.ScanList needs to preserve the
-// engine's id-ordered report contract. Sorting costs O(σ log σ) in the
+// reusing dst's capacity — the form the engine's scan list needs to
+// preserve its id-ordered report contract. Sorting costs O(σ log σ) in the
 // violator count σ; a quiet step (σ = 0) appends nothing.
 func (m *Mirror) AppendViolators(dst []int32) []int32 {
 	n := len(dst)

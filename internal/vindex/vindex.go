@@ -36,10 +36,10 @@
 // depends on each node's assigned filter — so bucket routing alone cannot
 // serve it. But every filter is server-assigned, so the engine mirrors the
 // assigned intervals next to the node values (Mirror) and maintains the
-// exact violator set incrementally; Router resolves violation sweeps from
-// that set the same way it resolves value sweeps from the buckets. With
-// both structures in place the only remaining full-scan fallbacks are tag
-// predicates and domain-covering intervals.
+// exact violator set incrementally; the engine resolves violation sweeps
+// from that set the same way it resolves value sweeps from the buckets.
+// With both structures in place the only remaining full-scan fallbacks are
+// tag predicates and domain-covering intervals (see Routable).
 package vindex
 
 import (
@@ -47,7 +47,6 @@ import (
 	"slices"
 
 	"topkmon/internal/eps"
-	"topkmon/internal/nodecore"
 	"topkmon/internal/wire"
 )
 
@@ -204,49 +203,3 @@ func (ix *Index) AppendSorted(dst []int32, lo, hi int64) []int32 {
 
 // Len returns the number of indexed ids.
 func (ix *Index) Len() int { return len(ix.byBucket) }
-
-// Router bundles the value-bucket Index and the filter-interval Mirror
-// with the reusable scratch that turns a predicate into an id-ordered node
-// scan list. It is the single place the routing policy lives: which
-// predicates route through which structure and which fall back to the full
-// scan.
-type Router struct {
-	// Idx is the bucket index over the routed nodes; callers own its
-	// maintenance (Update on value changes, Reset on engine reset).
-	Idx *Index
-
-	// Mir is the filter-interval mirror over the same nodes; callers own
-	// its maintenance (SetValue/SetFilter on every node mutation, Reset on
-	// engine reset — see the contract on Mirror).
-	Mir *Mirror
-
-	cand []int32
-	scan []*nodecore.Node
-}
-
-// ScanList returns the nodes a predicate-routed primitive must visit out
-// of nodes (whose i-th element must hold id i, the Idx id range), in
-// ascending id order: the mirror's violator set for the violation
-// predicate, the index candidates for a predicate's value bounds, or all
-// of nodes for the full-scan fallback — tag predicates and
-// domain-covering intervals (e.g. AboveActive(-1)), where routing could
-// prune nothing and sorting candidates would only add cost. The result is
-// Router-owned scratch recycled by the next ScanList call (or nodes
-// itself); candidate values may lie outside the bounds (bucket
-// coarsening), so callers still Match every node.
-func (r *Router) ScanList(p wire.Pred, nodes []*nodecore.Node) []*nodecore.Node {
-	if !Routable(p) {
-		return nodes
-	}
-	if p.Kind == wire.PredViolating {
-		r.cand = r.Mir.AppendViolators(r.cand[:0])
-	} else {
-		lo, hi, _ := p.Bounds()
-		r.cand = r.Idx.AppendSorted(r.cand[:0], lo, hi)
-	}
-	r.scan = r.scan[:0]
-	for _, id := range r.cand {
-		r.scan = append(r.scan, nodes[id])
-	}
-	return r.scan
-}

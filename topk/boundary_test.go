@@ -166,3 +166,39 @@ func TestItemsLayerBoundary(t *testing.T) {
 		t.Fatalf("walking topk/items: %v", err)
 	}
 }
+
+// TestIndexIsLeafUnderEngine pins the node index below the engine that
+// routes through it: internal/vindex imports nothing from the module
+// except internal/eps, internal/filter and internal/wire, so the routing
+// policy (which nodes a predicate visits) stays in the lockstep engine and
+// the index cannot reach back into node state. Test files are exempt.
+func TestIndexIsLeafUnderEngine(t *testing.T) {
+	allowed := map[string]bool{
+		"topkmon/internal/eps":    true,
+		"topkmon/internal/filter": true,
+		"topkmon/internal/wire":   true,
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(filepath.Join("..", "internal", "vindex"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, perr := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if perr != nil {
+			return perr
+		}
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			if (p == "topkmon" || strings.HasPrefix(p, "topkmon/")) && !allowed[p] {
+				t.Errorf("%s imports %s — internal/vindex may only consume internal/eps, internal/filter and internal/wire", path, p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking internal/vindex: %v", err)
+	}
+}
