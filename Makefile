@@ -121,9 +121,10 @@ race:
 # filter-interval mirror's no-desync obligation under fault injection, the
 # HTTP frontend's all-or-nothing batch-decode path, the WAL decoder's
 # torn-write obligations (no panic, exact canonical prefix, idempotent
-# truncation) on arbitrary bytes, and the streaming summaries' estimate
+# truncation) on arbitrary bytes, the streaming summaries' estimate
 # invariants (Space-Saving/Misra-Gries one-sided bounds, Count-Min
-# never-under-estimates, Reset replay identity) on arbitrary op tapes.
+# never-under-estimates, Reset replay identity) on arbitrary op tapes, and
+# the protocols' node-id set against a map + sort reference on op tapes.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzIntervalContainment -fuzztime $(FUZZTIME) ./internal/filter/
@@ -133,13 +134,14 @@ fuzz:
 	$(GO) test -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz FuzzSpaceSaving -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzCountMin -fuzztime $(FUZZTIME) ./internal/sketch/
+	$(GO) test -fuzz FuzzIDSet -fuzztime $(FUZZTIME) ./internal/protocol/
 
 # cover prints per-package statement coverage for the engine-core packages
 # the violation-routing test matrix concentrates on — the index + mirror,
 # the engine, and the fault layer — plus the sketch leaf the item layer
-# stands on. CI publishes the same table.
+# stands on and the monitoring protocols. CI publishes the same table.
 cover:
-	$(GO) test -cover ./internal/vindex/ ./internal/lockstep/ ./internal/faults/ ./internal/sketch/
+	$(GO) test -cover ./internal/vindex/ ./internal/lockstep/ ./internal/faults/ ./internal/sketch/ ./internal/protocol/
 
 check: build fmt-check vet api-check test
 

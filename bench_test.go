@@ -1,6 +1,6 @@
 // The root benchmarks regenerate every reproduction experiment
-// (one Benchmark per table/claim, E1–E13; see DESIGN.md §5 and
-// EXPERIMENTS.md) plus micro-benchmarks of the communication primitives.
+// (one Benchmark per table/claim, E1–E13; `go run ./internal/tools/bench`
+// prints the tables) plus micro-benchmarks of the communication primitives.
 //
 // Run with: go test -bench=. -benchmem
 package topkmon

@@ -115,10 +115,10 @@
 // order — so tables are byte-identical for every worker count, asserted by
 // TestParallelRunsAreDeterministic.
 //
-// See README.md for a tour, ARCHITECTURE.md for the paper-section →
-// package map and the engine dataflow, DESIGN.md for the system inventory
-// and the documented interpretations of underspecified paper details, and
-// EXPERIMENTS.md for paper-vs-measured results. This file's package exists
-// to carry the module-level documentation and the root benchmark suite
-// (bench_test.go), which regenerates every experiment.
+// See ARCHITECTURE.md for the paper-section → package map and the engine
+// dataflow, and DESIGN.md for the documented interpretations of
+// underspecified paper details. `go run ./internal/tools/bench` prints
+// every experiment table (paper claim vs. measured). This file's package
+// exists to carry the module-level documentation and the root benchmark
+// suite (bench_test.go), which regenerates every experiment.
 package topkmon

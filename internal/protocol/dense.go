@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"slices"
 
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
@@ -34,11 +33,10 @@ type Dense struct {
 	zUpper int64 // ⌊z/(1-ε)⌋: v > zUpper ⟺ v clearly above z
 	zLowC  int64 // ⌈(1-ε)z⌉:  v < zLowC  ⟺ v clearly below z
 
-	l     filter.Interval // L_r, the guess interval for ℓ*
-	round int
+	l filter.Interval // L_r, the guess interval for ℓ*
 
-	v1, v2, v3 map[int]bool // partition of node ids
-	s1, s2     map[int]bool // subsets of v2
+	partition       // V1, V2, V3
+	s1, s2    idSet // subsets of V2
 
 	sub *subState // non-nil while SUBPROTOCOL runs
 
@@ -69,24 +67,14 @@ type Dense struct {
 	// Halvings counts L halvings across the epoch history.
 	Halvings int64
 
-	// Trace, when set, receives a line per state transition (debugging).
-	Trace func(format string, args ...any)
-
 	rules ruleScratch
 	// Reusable working memory for the per-violation bookkeeping: the
-	// output recomputation buffers, the round-broadcast rule, the
-	// persistent SUBPROTOCOL state, and scratch id lists for the
-	// deterministic sorted iterations.
-	takeBuf, fillBuf, outBuf []int
-	roundRule                *wire.FilterRule
-	subStore                 subState
-	idBuf                    []int
-}
-
-func (d *Dense) trace(format string, args ...any) {
-	if d.Trace != nil {
-		d.Trace(format, args...)
-	}
+	// output recomputation sets and buffer, the round-broadcast rule, and
+	// the persistent SUBPROTOCOL state.
+	fill, outSet idSet
+	outBuf       []int
+	roundRule    *wire.FilterRule
+	subStore     subState
 }
 
 // NewDense returns the Section 5.2 monitor core.
@@ -97,20 +85,14 @@ func NewDense(c cluster.Cluster, k int, e eps.Eps) *Dense {
 	if e.IsZero() {
 		panic("protocol: Dense needs ε > 0; use ExactMid for the exact problem")
 	}
+	n := c.N()
 	return &Dense{
 		c: c, k: k, e: e,
-		v1: map[int]bool{}, v2: map[int]bool{}, v3: map[int]bool{},
-		s1: map[int]bool{}, s2: map[int]bool{},
+		partition: newPartition(n),
+		s1:        newIDSet(n), s2: newIDSet(n),
+		fill: newIDSet(n), outSet: newIDSet(n),
+		subStore: subState{s1: newIDSet(n), s2: newIDSet(n)},
 	}
-}
-
-// clearSets empties the partition maps, keeping their buckets allocated.
-func (d *Dense) clearSets() {
-	clear(d.v1)
-	clear(d.v2)
-	clear(d.v3)
-	clear(d.s1)
-	clear(d.s2)
 }
 
 // Name implements Monitor.
@@ -135,15 +117,14 @@ func (d *Dense) Start() {
 // StartWithProbe begins an epoch from a freshly probed top-(k+1) list.
 // If the k-th and (k+1)-st values coincide, z is pinned immediately;
 // otherwise the preamble filters F1 = [v_{k+1}, ∞], F2 = [0, v_k] hold until
-// the first violation pins z (Section 5.2's opening).
+// the first violation pins z (Section 5.2's opening; DESIGN.md
+// interpretation 6).
 func (d *Dense) StartWithProbe(reps []wire.Report) {
 	d.epochs++
 	d.gen++
 	d.active = true
 	d.sub = nil
-	d.clearSets()
 	vk, vk1 := reps[d.k-1].Value, reps[d.k].Value
-	d.trace("epoch %d start: vk=%d vk1=%d", d.epochs, vk, vk1)
 	if vk == vk1 {
 		d.inPreamble = false
 		d.beginWithZ(vk)
@@ -159,47 +140,17 @@ func (d *Dense) StartWithProbe(reps []wire.Report) {
 // ε-neighborhood (σ replies) and the clearly-above range (< k replies),
 // matching the O(k log n + σ) initialisation of Lemma 5.3.
 func (d *Dense) beginWithZ(z int64) {
-	d.trace("beginWithZ z=%d", z)
 	d.z = z
 	d.zUpper = d.e.GrowFloor(z)
 	d.zLowC = d.e.ShrinkCeil(z)
-
-	high := d.c.Collect(wire.InRange(d.zUpper+1, filter.Inf))
-	mid := d.c.Collect(wire.InRange(d.zLowC, d.zUpper))
-
-	d.clearSets()
-	for _, r := range high {
-		d.v1[r.ID] = true
-	}
-	for _, r := range mid {
-		d.v2[r.ID] = true
-	}
-	for i := 0; i < d.c.N(); i++ {
-		if !d.v1[i] && !d.v2[i] {
-			d.v3[i] = true
-		}
-	}
-	if len(d.v1) > d.k || len(d.v1)+len(d.v2) < d.k {
+	d.l = filter.Make(d.zLowC, z)
+	d.s1.clear()
+	d.s2.clear()
+	if !d.open(d.c, d.k, d.zLowC, d.zUpper, d.lr(), d.ur()) {
 		// The dense premise broke between probe and classification
 		// (only possible across steps); restart.
 		d.endEpoch()
 		return
-	}
-
-	d.l = filter.Make(d.zLowC, z)
-	d.round = 0
-
-	// One broadcast resets everyone to V3 with its filter; V1 and V2
-	// members get their tags by unicast (≤ k + σ messages).
-	rule := resetAllTags(wire.TagV3).With(wire.TagV3, filter.AtMost(d.ur()))
-	d.c.BroadcastRule(rule)
-	d.idBuf = sortedInto(d.idBuf, d.v1)
-	for _, i := range d.idBuf {
-		d.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(d.lr()))
-	}
-	d.idBuf = sortedInto(d.idBuf, d.v2)
-	for _, i := range d.idBuf {
-		d.c.SetTagFilter(i, wire.TagV2, filter.Make(d.lr(), d.ur()))
 	}
 	d.refreshOutput()
 }
@@ -238,7 +189,6 @@ func (d *Dense) Handle(rep wire.Report) {
 
 // endEpoch deactivates the epoch and hands control to the controller.
 func (d *Dense) endEpoch() {
-	d.trace("endEpoch")
 	d.active = false
 	d.OnEpochEnd()
 }
@@ -246,7 +196,6 @@ func (d *Dense) endEpoch() {
 // switchTopK deactivates the epoch and asks the controller to run
 // TOP-K-PROTOCOL (case (d): the dense cluster dissolved).
 func (d *Dense) switchTopK() {
-	d.trace("switchTopK")
 	d.active = false
 	d.OnSwitchTopK()
 }
@@ -256,68 +205,57 @@ func (d *Dense) handleDense(rep wire.Report) {
 	gen := d.gen
 	i := rep.ID
 	switch {
-	case d.v1[i]:
+	case d.v1.has(i):
 		// Case a: i ∈ V1 fell below ℓ_r ⇒ ℓ* < ℓ_r.
-		d.trace("D.a node=%d v=%d", i, rep.Value)
 		d.halveLower()
-	case d.v3[i]:
+	case d.v3.has(i):
 		// Case a′: i ∈ V3 rose above u_r ⇒ ℓ* ≥ ℓ_r.
-		d.trace("D.a' node=%d v=%d", i, rep.Value)
 		d.halveUpper()
-	case d.s1[i] && d.s2[i]:
+	case d.s1.has(i) && d.s2.has(i):
 		// An unresolved S1∩S2 node: SUBPROTOCOL decides it (the
 		// re-entry rule; see DESIGN.md interpretation 9).
-		d.trace("D.reenter node=%d", i)
 		d.startSub(i)
-	case d.s1[i]:
+	case d.s1.has(i):
 		if rep.Dir == filter.DirUp {
 			// Case c.1: v > z/(1-ε) ⇒ i must be in F*.
-			d.trace("D.c1 node=%d v=%d", i, rep.Value)
 			d.moveToV1(i)
 		} else {
 			// Case c.2: also observed below ℓ_r ⇒ S1∩S2 ⇒ SUB.
-			d.trace("D.c2 node=%d v=%d", i, rep.Value)
-			d.s2[i] = true
+			d.s2.add(i)
 			d.startSub(i)
 		}
-	case d.s2[i]:
+	case d.s2.has(i):
 		if rep.Dir == filter.DirDown {
 			// Case c′.1: v < (1-ε)z ⇒ i cannot be in F*.
-			d.trace("D.c'1 node=%d v=%d", i, rep.Value)
 			d.moveToV3(i)
 		} else {
 			// Case c′.2: also observed above u_r ⇒ S1∩S2 ⇒ SUB.
-			d.trace("D.c'2 node=%d v=%d", i, rep.Value)
 			// Align the node's tag with its S′1 membership before
 			// the SUB entry broadcast retags the disbanded S′2.
-			d.s1[i] = true
+			d.s1.add(i)
 			d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 			d.startSub(i)
 		}
-	case d.v2[i]:
+	case d.v2.has(i):
 		if rep.Dir == filter.DirUp {
 			// Case b: v > u_r.
-			if len(d.v1)+len(d.s1)+1 > d.k {
+			if d.v1.len()+d.s1.len()+1 > d.k {
 				// b.1: more than k nodes certified above u_r.
-				d.trace("D.b1 node=%d v=%d", i, rep.Value)
 				d.halveUpper()
 			} else {
 				// b.2: record i in S1.
-				d.trace("D.b2 node=%d v=%d", i, rep.Value)
-				d.s1[i] = true
+				d.s1.add(i)
 				d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 				d.refreshOutput()
 			}
 		} else {
 			// Case b′: v < ℓ_r.
-			if len(d.v3)+len(d.s2)+1 > d.c.N()-d.k {
+			if d.v3.len()+d.s2.len()+1 > d.c.N()-d.k {
 				// b′.1: more than n-k nodes certified below ℓ_r.
-				d.trace("D.b'1 node=%d v=%d", i, rep.Value)
 				d.halveLower()
 			} else {
 				// b′.2: record i in S2.
-				d.trace("D.b'2 node=%d v=%d", i, rep.Value)
-				d.s2[i] = true
+				d.s2.add(i)
 				d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, d.ur()))
 				d.refreshOutput()
 			}
@@ -336,7 +274,7 @@ func (d *Dense) handleDense(rep wire.Report) {
 func (d *Dense) halveLower() {
 	d.l = d.l.LowerHalf()
 	d.Halvings++
-	clear(d.s2)
+	d.s2.clear()
 	d.advanceRound( /* disbandS2 */ true, false)
 }
 
@@ -345,7 +283,7 @@ func (d *Dense) halveLower() {
 func (d *Dense) halveUpper() {
 	d.l = d.l.UpperHalf()
 	d.Halvings++
-	clear(d.s1)
+	d.s1.clear()
 	d.advanceRound(false /* disbandS1 */, true)
 }
 
@@ -353,12 +291,10 @@ func (d *Dense) halveUpper() {
 // one broadcast retags the disbanded side and installs the new round's
 // filters for every tag.
 func (d *Dense) advanceRound(disbandS2, disbandS1 bool) {
-	d.trace("advanceRound L=%v disbandS2=%v disbandS1=%v", d.l, disbandS2, disbandS1)
 	if d.l.Empty() {
 		d.endEpoch()
 		return
 	}
-	d.round++
 	rule := d.freshRoundRule()
 	if disbandS2 {
 		rule.WithRetag(wire.TagV2S2, wire.TagV2)
@@ -396,9 +332,8 @@ func (d *Dense) roundFilters(rule *wire.FilterRule) {
 
 // moveToV1 moves i out of V2 (and any S-sets) into V1.
 func (d *Dense) moveToV1(i int) {
-	d.trace("moveToV1 node=%d", i)
 	d.removeFromV2(i)
-	d.v1[i] = true
+	d.v1.add(i)
 	d.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(d.lr()))
 	d.refreshOutput()
 }
@@ -406,9 +341,8 @@ func (d *Dense) moveToV1(i int) {
 // moveToV3 moves i out of V2 into V3; the upper endpoint is the current
 // context's u (u_r, or u′_{r′} while SUBPROTOCOL runs).
 func (d *Dense) moveToV3(i int) {
-	d.trace("moveToV3 node=%d", i)
 	d.removeFromV2(i)
-	d.v3[i] = true
+	d.v3.add(i)
 	up := d.ur()
 	if d.sub != nil {
 		up = d.sub.ur(d)
@@ -418,12 +352,12 @@ func (d *Dense) moveToV3(i int) {
 }
 
 func (d *Dense) removeFromV2(i int) {
-	delete(d.v2, i)
-	delete(d.s1, i)
-	delete(d.s2, i)
+	d.v2.del(i)
+	d.s1.del(i)
+	d.s2.del(i)
 	if d.sub != nil {
-		delete(d.sub.s1, i)
-		delete(d.sub.s2, i)
+		d.sub.s1.del(i)
+		d.sub.s2.del(i)
 	}
 }
 
@@ -434,55 +368,43 @@ func (d *Dense) checkTopKSwitch() {
 	if d.sub != nil {
 		return // sub has its own check
 	}
-	inter := intersects(d.s1, d.s2)
-	if !inter && len(d.v1)+len(d.s1) == d.k && len(d.v3)+len(d.s2) == d.c.N()-d.k {
+	if !d.s1.intersects(&d.s2) && d.v1.len()+d.s1.len() == d.k && d.v3.len()+d.s2.len() == d.c.N()-d.k {
 		d.switchTopK()
 	}
 }
 
-// refreshOutput recomputes F(t) = V1 ∪ (S1\S2) ∪ fill from V2\(S1∪S2);
-// during SUBPROTOCOL the primed sets take over (Lemma 5.4's output — and
-// S′1\S′2 ∪ (S′1∩S′2) = S′1). If no valid output of size k exists the dense
-// premise broke and the epoch ends. All buffers are reused; V1 and the
-// S-sets are disjoint subsets of the partition, so concatenation needs no
-// dedup, and sorting makes the result independent of map iteration order.
+// refreshOutput recomputes F(t) = V1 ∪ (S1\S2) ∪ fill from V2\(S1∪S2),
+// taking the fill in id order; during SUBPROTOCOL the primed sets take over
+// (Lemma 5.4's output — and S′1\S′2 ∪ (S′1∩S′2) = S′1). If no valid output
+// of size k exists the dense premise broke and the epoch ends.
 func (d *Dense) refreshOutput() {
-	s1, s2 := d.s1, d.s2
+	s1, s2 := &d.s1, &d.s2
 	if d.sub != nil {
-		s1, s2 = d.sub.s1, d.sub.s2
+		s1, s2 = &d.sub.s1, &d.sub.s2
 	}
-	take := d.takeBuf[:0]
-	for i := range d.v1 {
-		take = append(take, i)
+	out := &d.outSet
+	if d.sub != nil {
+		out.copy(s1)
+	} else {
+		out.andNot(s1, s2)
 	}
-	for i := range s1 {
-		if d.sub != nil || !s2[i] {
-			take = append(take, i)
-		}
+	for i := range d.v1.all() {
+		out.add(i)
 	}
-	d.takeBuf = take
-	if len(take) > d.k {
+	d.fill.andNot(&d.v2, s1)
+	d.fill.andNot(&d.fill, s2)
+	if out.len() > d.k || out.len()+d.fill.len() < d.k {
 		d.endEpoch()
 		return
 	}
-	fill := d.fillBuf[:0]
-	for i := range d.v2 {
-		if !s1[i] && !s2[i] {
-			fill = append(fill, i)
+	for i := range d.fill.all() {
+		if out.len() == d.k {
+			break
 		}
+		out.add(i)
 	}
-	slices.Sort(fill)
-	d.fillBuf = fill
-	need := d.k - len(take)
-	if need > len(fill) {
-		d.endEpoch()
-		return
-	}
-	out := append(d.outBuf[:0], take...)
-	out = append(out, fill[:need]...)
-	slices.Sort(out)
-	d.outBuf = out
-	d.out = out
+	d.outBuf = out.appendTo(d.outBuf[:0])
+	d.out = d.outBuf
 }
 
 // CheckInvariants compares the engine-side tags against the server-side set
@@ -495,14 +417,14 @@ func (d *Dense) CheckInvariants(tags []wire.Tag) error {
 	for i := range tags {
 		var want wire.Tag
 		switch {
-		case d.v1[i]:
+		case d.v1.has(i):
 			want = wire.TagV1
-		case d.v3[i]:
+		case d.v3.has(i):
 			want = wire.TagV3
-		case d.v2[i] && d.sub != nil:
-			want = classTag(d.sub.s1[i], d.sub.s2[i])
-		case d.v2[i]:
-			want = classTag(d.s1[i], d.s2[i])
+		case d.v2.has(i) && d.sub != nil:
+			want = classTag(d.sub.s1.has(i), d.sub.s2.has(i))
+		case d.v2.has(i):
+			want = classTag(d.s1.has(i), d.s2.has(i))
 		default:
 			return fmt.Errorf("dense: node %d in no set", i)
 		}
@@ -511,43 +433,4 @@ func (d *Dense) CheckInvariants(tags []wire.Tag) error {
 		}
 	}
 	return nil
-}
-
-// --- small set helpers ---
-
-func sortedIDs(m map[int]bool) []int {
-	return sortedInto(make([]int, 0, len(m)), m)
-}
-
-// sortedInto appends m's keys to buf[:0] and sorts them, reusing buf's
-// capacity — the allocation-free form of sortedIDs for deterministic
-// iteration in hot paths.
-func sortedInto(buf []int, m map[int]bool) []int {
-	buf = buf[:0]
-	for i := range m {
-		buf = append(buf, i)
-	}
-	slices.Sort(buf)
-	return buf
-}
-
-func intersects(a, b map[int]bool) bool {
-	small, big := a, b
-	if len(b) < len(a) {
-		small, big = b, a
-	}
-	for i := range small {
-		if big[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// copySetInto clears dst and fills it with src's members.
-func copySetInto(dst, src map[int]bool) {
-	clear(dst)
-	for i := range src {
-		dst[i] = true
-	}
 }

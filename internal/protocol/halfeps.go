@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
@@ -33,8 +32,9 @@ type HalfEps struct {
 	z      int64
 	l0, u0 int64 // the round-0 thresholds (1-ε/2)z and (1-ε/2)z/(1-ε)
 
-	v1, v2, v3 map[int]bool
-	out        []int
+	partition
+	outSet idSet
+	out    []int
 }
 
 // NewHalfEps returns the Corollary 5.9 monitor.
@@ -45,7 +45,7 @@ func NewHalfEps(c cluster.Cluster, k int, e eps.Eps) *HalfEps {
 	if e.IsZero() {
 		panic("protocol: HalfEps needs ε > 0")
 	}
-	h := &HalfEps{c: c, k: k, e: e}
+	h := &HalfEps{c: c, k: k, e: e, partition: newPartition(c.N()), outSet: newIDSet(c.N())}
 	h.topk = NewTopKProto(c, k, e)
 	h.topk.OnEpochEnd = h.startEpoch
 	return h
@@ -84,39 +84,17 @@ func (h *HalfEps) startEpoch() {
 	// midpoint (1-ε/2)z of [(1-ε)z, z]; u₀ = (1-ε/2)z/(1-ε). With
 	// ε = p/q: ℓ₀ = ⌈z(2q-p)/(2q)⌉ (so v < ℓ₀ ⟺ v < (1-ε/2)z exactly for
 	// integers) and u₀ = ⌊z(2q-p)/(2(q-p))⌋ (so v > u₀ ⟺ v above the V1
-	// admission threshold exactly).
+	// admission threshold exactly; DESIGN.md interpretation 10).
 	half := h.e.Half()
 	h.l0 = half.ShrinkCeil(h.z)
 	p, q := h.e.Num, h.e.Den
 	h.u0 = (h.z * (2*q - p)) / (2 * (q - p))
 
-	high := h.c.Collect(wire.InRange(h.u0+1, filter.Inf))
-	mid := h.c.Collect(wire.InRange(h.l0, h.u0))
-	h.v1, h.v2, h.v3 = map[int]bool{}, map[int]bool{}, map[int]bool{}
-	for _, r := range high {
-		h.v1[r.ID] = true
-	}
-	for _, r := range mid {
-		h.v2[r.ID] = true
-	}
-	for i := 0; i < h.c.N(); i++ {
-		if !h.v1[i] && !h.v2[i] {
-			h.v3[i] = true
-		}
-	}
-	if len(h.v1) > h.k || len(h.v1)+len(h.v2) < h.k {
+	if !h.open(h.c, h.k, h.l0, h.u0, h.l0, h.u0) {
 		h.startEpoch()
 		return
 	}
-	rule := resetAllTags(wire.TagV3).With(wire.TagV3, filter.AtMost(h.u0))
-	h.c.BroadcastRule(rule)
-	for _, i := range sortedIDs(h.v1) {
-		h.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(h.l0))
-	}
-	for _, i := range sortedIDs(h.v2) {
-		h.c.SetTagFilter(i, wire.TagV2, filter.Make(h.l0, h.u0))
-	}
-	if len(h.v1) == h.k && len(h.v3) == h.c.N()-h.k {
+	if h.v1.len() == h.k && h.v3.len() == h.c.N()-h.k {
 		h.inTopK = true
 		h.topk.StartWithProbe(TopM(h.c, h.k+1))
 		return
@@ -124,13 +102,16 @@ func (h *HalfEps) startEpoch() {
 	h.refreshOutput()
 }
 
+// refreshOutput sets the output to V1 plus the smallest-id V2 nodes.
 func (h *HalfEps) refreshOutput() {
-	out := sortedIDs(h.v1)
-	fill := sortedIDs(h.v2)
-	need := h.k - len(out)
-	out = append(out, fill[:need]...)
-	sort.Ints(out)
-	h.out = out
+	h.outSet.copy(&h.v1)
+	for i := range h.v2.all() {
+		if h.outSet.len() == h.k {
+			break
+		}
+		h.outSet.add(i)
+	}
+	h.out = h.outSet.appendTo(h.out[:0])
 }
 
 // HandleStep implements Monitor.
@@ -145,17 +126,17 @@ func (h *HalfEps) handle(rep wire.Report) {
 	}
 	i := rep.ID
 	switch {
-	case h.v1[i] || h.v3[i]:
+	case h.v1.has(i) || h.v3.has(i):
 		// A settled node left its side: the ε/2-optimum communicated.
 		h.startEpoch()
-	case h.v2[i] && rep.Dir == filter.DirUp:
-		delete(h.v2, i)
-		h.v1[i] = true
+	case h.v2.has(i) && rep.Dir == filter.DirUp:
+		h.v2.del(i)
+		h.v1.add(i)
 		h.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(h.l0))
 		h.afterMove()
-	case h.v2[i]:
-		delete(h.v2, i)
-		h.v3[i] = true
+	case h.v2.has(i):
+		h.v2.del(i)
+		h.v3.add(i)
 		h.c.SetTagFilter(i, wire.TagV3, filter.AtMost(h.u0))
 		h.afterMove()
 	default:
@@ -164,11 +145,11 @@ func (h *HalfEps) handle(rep wire.Report) {
 }
 
 func (h *HalfEps) afterMove() {
-	if len(h.v1) > h.k || len(h.v1)+len(h.v2) < h.k {
+	if h.v1.len() > h.k || h.v1.len()+h.v2.len() < h.k {
 		h.startEpoch()
 		return
 	}
-	if len(h.v1) == h.k && len(h.v3) == h.c.N()-h.k {
+	if h.v1.len() == h.k && h.v3.len() == h.c.N()-h.k {
 		h.inTopK = true
 		h.topk.StartWithProbe(TopM(h.c, h.k+1))
 		return

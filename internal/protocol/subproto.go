@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"slices"
 
 	"topkmon/internal/filter"
 	"topkmon/internal/wire"
@@ -15,10 +14,9 @@ import (
 // interval — until it either halves the outer L correctly or moves one node
 // out of V2 into V1 or V3 (Lemma 5.6).
 type subState struct {
-	l     filter.Interval // L′
-	round int
-	s1    map[int]bool // S′1 (initialised to S1)
-	s2    map[int]bool // S′2 (initialised to ∅)
+	l  filter.Interval // L′
+	s1 idSet           // S′1 (initialised to S1)
+	s2 idSet           // S′2 (initialised to ∅)
 
 	initiator int
 	// lastDown is the last S′1∩S′2 node that violated downwards; it is the
@@ -36,22 +34,15 @@ func (s *subState) ur(d *Dense) int64 { return d.e.GrowFloor(s.l.Mid()) }
 // of L at or below ℓ_r, S′1 copies S1, S′2 starts empty. One broadcast
 // retags the disbanded S′2 view and installs the round-0 filters.
 func (d *Dense) startSub(initiator int) {
-	if d.Trace != nil {
-		d.trace("startSub init=%d s1=%v s2=%v", initiator, sortedIDs(d.s1), sortedIDs(d.s2))
-	}
 	d.SubCalls++
 	hi := d.lr()
 	if hi > d.l.Hi {
 		hi = d.l.Hi
 	}
 	s := &d.subStore
-	if s.s1 == nil {
-		s.s1, s.s2 = map[int]bool{}, map[int]bool{}
-	}
 	s.l = filter.Make(d.l.Lo, hi)
-	s.round = 0
-	copySetInto(s.s1, d.s1)
-	clear(s.s2)
+	s.s1.copy(&d.s1)
+	s.s2.clear()
 	s.initiator = initiator
 	s.lastDown = -1
 	d.sub = s
@@ -82,77 +73,65 @@ func (d *Dense) handleSub(rep wire.Report) {
 	s := d.sub
 	i := rep.ID
 	switch {
-	case d.v1[i]:
+	case d.v1.has(i):
 		// Case a: a V1 node fell below ℓ_r ⇒ terminate; the outer L
 		// moves to its lower half.
-		d.trace("S.a node=%d v=%d", i, rep.Value)
 		d.subEnd()
 		d.halveLower()
-	case d.v3[i]:
+	case d.v3.has(i):
 		// Case a′: a V3 node rose above u′ ⇒ L′ → upper half, S′1 := S1.
-		d.trace("S.a' node=%d v=%d", i, rep.Value)
 		d.subUpperHalf()
-	case s.s1[i] && s.s2[i]:
+	case s.s1.has(i) && s.s2.has(i):
 		if rep.Dir == filter.DirUp {
 			// Case d.1: v > z/(1-ε) ⇒ i joins V1 and SUB terminates.
-			d.trace("S.d1 node=%d v=%d", i, rep.Value)
 			d.subEnd()
 			d.moveToV1(i)
 		} else {
 			// Case d.2: v < ℓ′ ⇒ L′ → lower half, S′2 := ∅.
-			d.trace("S.d2 node=%d v=%d", i, rep.Value)
 			s.lastDown = i
 			d.subLowerHalf(i)
 		}
-	case s.s1[i]:
+	case s.s1.has(i):
 		if rep.Dir == filter.DirUp {
 			// Case c.1: v > z/(1-ε) ⇒ move i to V1 (SUB continues).
-			d.trace("S.c1 node=%d v=%d", i, rep.Value)
 			d.moveToV1(i)
 		} else {
 			// Case c.2: i joins S′2, entering S′1∩S′2.
-			d.trace("S.c2 node=%d v=%d", i, rep.Value)
-			s.s2[i] = true
+			s.s2.add(i)
 			d.c.SetTagFilter(i, wire.TagV2S12, filter.Make(s.lr(), d.zUpper))
 			d.refreshOutput()
 		}
-	case s.s2[i]:
+	case s.s2.has(i):
 		if rep.Dir == filter.DirDown {
 			// Case c′.1: v < (1-ε)z ⇒ move i to V3 (SUB continues).
-			d.trace("S.c'1 node=%d v=%d", i, rep.Value)
 			d.moveToV3(i)
 		} else {
 			// Case c′.2: i joins S′1, entering S′1∩S′2.
-			d.trace("S.c'2 node=%d v=%d", i, rep.Value)
-			s.s1[i] = true
+			s.s1.add(i)
 			d.c.SetTagFilter(i, wire.TagV2S12, filter.Make(s.lr(), d.zUpper))
 			d.refreshOutput()
 		}
-	case d.v2[i]:
+	case d.v2.has(i):
 		if rep.Dir == filter.DirUp {
 			// Case b: v > u′.
-			if len(d.v1)+len(s.s1)+1 > d.k {
+			if d.v1.len()+s.s1.len()+1 > d.k {
 				// b.1: more than k nodes certified above.
-				d.trace("S.b1 node=%d v=%d", i, rep.Value)
 				d.subUpperHalf()
 			} else {
 				// b.2: record i in S′1.
-				d.trace("S.b2 node=%d v=%d", i, rep.Value)
-				s.s1[i] = true
+				s.s1.add(i)
 				d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 				d.refreshOutput()
 			}
 		} else {
 			// Case b′: v < ℓ_r.
-			if len(d.v3)+len(s.s2)+1 > d.c.N()-d.k {
+			if d.v3.len()+s.s2.len()+1 > d.c.N()-d.k {
 				// b′.1: terminate; outer L → lower half.
-				d.trace("S.b'1 node=%d v=%d", i, rep.Value)
 				d.subEnd()
 				d.halveLower()
 			} else {
 				// b′.2: record i in S′2.
-				d.trace("S.b'2 node=%d v=%d", i, rep.Value)
-				s.s2[i] = true
+				s.s2.add(i)
 				d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, s.ur(d)))
 				d.refreshOutput()
 			}
@@ -175,41 +154,34 @@ func (d *Dense) handleSub(rep wire.Report) {
 // the initiator) to V3 — it observed a value below every surviving ℓ*
 // candidate, so it cannot be in F* (Lemma 5.6).
 func (d *Dense) subUpperHalf() {
-	d.trace("subUpperHalf L'=%v", d.sub.l)
 	s := d.sub
 	s.l = s.l.UpperHalf()
 	// Reset S′1 to S1: nodes recorded above an older, lower u′ lose that
 	// certification (their tag reverts per their S′2 status).
-	reverting := d.idBuf[:0]
-	for i := range s.s1 {
-		if !d.s1[i] {
-			reverting = append(reverting, i)
+	for i := range s.s1.all() {
+		if d.s1.has(i) {
+			continue
 		}
-	}
-	slices.Sort(reverting)
-	d.idBuf = reverting
-	for _, i := range reverting {
-		if s.s2[i] {
+		if s.s2.has(i) {
 			d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, s.ur(d)))
 		} else {
 			d.c.SetTagFilter(i, wire.TagV2, filter.Make(d.lr(), s.ur(d)))
 		}
 	}
-	copySetInto(s.s1, d.s1)
+	s.s1.copy(&d.s1)
 	if s.l.Empty() {
 		victim := s.lastDown
-		if victim < 0 || !d.v2[victim] {
+		if victim < 0 || !d.v2.has(victim) {
 			victim = s.initiator
 		}
 		d.subEnd()
-		if d.v2[victim] {
+		if d.v2.has(victim) {
 			d.moveToV3(victim)
 		} else {
 			d.refreshOutput()
 		}
 		return
 	}
-	s.round++
 	rule := d.freshRoundRule()
 	d.subRoundFilters(rule)
 	d.c.BroadcastRule(rule)
@@ -219,7 +191,6 @@ func (d *Dense) subUpperHalf() {
 // subLowerHalf implements case d.2: L′ → lower half and S′2 := ∅. If L′
 // empties, SUB terminates moving the violator to V3.
 func (d *Dense) subLowerHalf(violator int) {
-	d.trace("subLowerHalf L'=%v violator=%d", d.sub.l, violator)
 	s := d.sub
 	s.l = s.l.LowerHalf()
 	if s.l.Empty() {
@@ -227,15 +198,14 @@ func (d *Dense) subLowerHalf(violator int) {
 		// against the DENSE sets to restore tags, so they must still
 		// describe the tags physically on the nodes.
 		d.subEnd()
-		if d.v2[violator] {
+		if d.v2.has(violator) {
 			d.moveToV3(violator)
 		} else {
 			d.refreshOutput()
 		}
 		return
 	}
-	clear(s.s2)
-	s.round++
+	s.s2.clear()
 	rule := d.freshRoundRule().
 		WithRetag(wire.TagV2S2, wire.TagV2).
 		WithRetag(wire.TagV2S12, wire.TagV2S1)
@@ -249,15 +219,11 @@ func (d *Dense) subLowerHalf(violator int) {
 // rebroadcasts the DENSE round filters so V3/V2 filters widen back from u′
 // to u_r.
 func (d *Dense) subEnd() {
-	if d.Trace != nil {
-		d.trace("subEnd s1'=%v s2'=%v", sortedIDs(d.sub.s1), sortedIDs(d.sub.s2))
-	}
 	s := d.sub
 	d.sub = nil
-	d.idBuf = sortedInto(d.idBuf, d.v2)
-	for _, i := range d.idBuf {
-		cur := classTag(s.s1[i], s.s2[i])
-		want := classTag(d.s1[i], d.s2[i])
+	for i := range d.v2.all() {
+		cur := classTag(s.s1.has(i), s.s2.has(i))
+		want := classTag(d.s1.has(i), d.s2.has(i))
 		if cur != want {
 			d.c.SetTagFilter(i, want, d.denseFilterFor(want))
 		}
@@ -309,7 +275,7 @@ func (d *Dense) checkSubTopKSwitch() {
 	if s == nil {
 		return
 	}
-	if !intersects(s.s1, s.s2) && len(d.v1)+len(s.s1) == d.k && len(d.v3)+len(s.s2) == d.c.N()-d.k {
+	if !s.s1.intersects(&s.s2) && d.v1.len()+s.s1.len() == d.k && d.v3.len()+s.s2.len() == d.c.N()-d.k {
 		d.subEnd()
 		d.switchTopK()
 	}
@@ -320,19 +286,14 @@ func (d *Dense) checkSubTopKSwitch() {
 // either halves L (disbanding one S-side, emptying the intersection) or
 // moves a node out of V2, so re-entry terminates.
 func (d *Dense) maybeReenterSub() {
-	d.trace("maybeReenterSub active=%v sub=%v", d.active, d.sub != nil)
 	if !d.active || d.sub != nil {
 		return
 	}
-	// Pick the smallest-id unresolved S1∩S2 node (the first hit of the
-	// former sorted iteration) without materialising the sorted list.
-	best := -1
-	for i := range d.s1 {
-		if d.s2[i] && (best < 0 || i < best) {
-			best = i
+	// Re-enter for the smallest-id unresolved S1∩S2 node.
+	for i := range d.s1.all() {
+		if d.s2.has(i) {
+			d.startSub(i)
+			return
 		}
-	}
-	if best >= 0 {
-		d.startSub(best)
 	}
 }

@@ -74,7 +74,7 @@ type TopKProto struct {
 	// epoch terminates (used by the Theorem 5.8 controller).
 	OnEpochEnd func()
 
-	phaseViolations map[Phase]int64
+	phaseViolations [PhaseP4 + 1]int64
 	rules           ruleScratch
 }
 
@@ -83,7 +83,7 @@ func NewTopKProto(c cluster.Cluster, k int, e eps.Eps) *TopKProto {
 	if k < 1 || k >= c.N() {
 		panic(fmt.Sprintf("protocol: TopKProto needs 1 ≤ k < n, got k=%d n=%d", k, c.N()))
 	}
-	return &TopKProto{c: c, k: k, e: e, phaseViolations: make(map[Phase]int64)}
+	return &TopKProto{c: c, k: k, e: e}
 }
 
 // Name implements Monitor.
@@ -95,9 +95,9 @@ func (m *TopKProto) Epochs() int64 { return m.epochs }
 // Output implements Monitor.
 func (m *TopKProto) Output() []int { return m.out }
 
-// PhaseViolations returns how many violations each phase processed (for the
-// phase-ablation experiment).
-func (m *TopKProto) PhaseViolations() map[Phase]int64 { return m.phaseViolations }
+// PhaseViolations returns how many violations each phase processed, indexed
+// by Phase (for the phase-ablation experiment).
+func (m *TopKProto) PhaseViolations() [PhaseP4 + 1]int64 { return m.phaseViolations }
 
 // Start implements Monitor.
 func (m *TopKProto) Start() { m.startEpoch() }
