@@ -57,10 +57,11 @@ vet:
 # internal/wal in turn imports only topk — so the whole server path still
 # consumes the supported API. Two sketch-layer rules complete the map:
 # internal/sketch is a stdlib-only leaf (no module imports at all), and
-# the public topk/items layer consumes only topk + internal/sketch. One
-# engine-side rule pins the node index as a leaf under the lockstep engine:
-# internal/vindex imports only internal/eps, internal/filter and
-# internal/wire from this module. The topk boundary tests pin the same
+# the public topk/items layer consumes only topk + internal/sketch. Two
+# engine-side rules: internal/idset, the node-id set the engine and the
+# protocols share, is a stdlib-only leaf, and the node index is a leaf
+# under the lockstep engine — internal/vindex imports only internal/eps
+# and internal/wire from this module. The topk boundary tests pin the same
 # rules inside `go test ./...`.
 api-check:
 	@leaks=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./cmd/... ./examples/... \
@@ -100,11 +101,17 @@ api-check:
 		echo "topk/items may only consume topk and internal/sketch, but imports:"; \
 		echo "$$itemsleaks"; exit 1; \
 	fi
+	@idsetleaks=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/idset \
+		| grep '^topkmon' || true); \
+	if [ -n "$$idsetleaks" ]; then \
+		echo "internal/idset must stay a stdlib-only leaf, but imports:"; \
+		echo "$$idsetleaks"; exit 1; \
+	fi
 	@vindexleaks=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/vindex \
-		| grep '^topkmon' | grep -v '^topkmon/internal/eps$$' | grep -v '^topkmon/internal/filter$$' \
+		| grep '^topkmon' | grep -v '^topkmon/internal/eps$$' \
 		| grep -v '^topkmon/internal/wire$$' || true); \
 	if [ -n "$$vindexleaks" ]; then \
-		echo "internal/vindex may only consume internal/eps, internal/filter and internal/wire, but imports:"; \
+		echo "internal/vindex may only consume internal/eps and internal/wire, but imports:"; \
 		echo "$$vindexleaks"; exit 1; \
 	fi
 
@@ -117,31 +124,31 @@ race:
 	$(GO) test -race -short ./...
 
 # fuzz gives the seeded fuzz targets a short randomized session each — the
-# interval algebra, the Pred.Bounds value-routing contract, the
-# filter-interval mirror's no-desync obligation under fault injection, the
+# interval algebra, the Pred.Bounds value-routing contract against the
+# engine's match, the engine's violator set under fault injection, the
 # HTTP frontend's all-or-nothing batch-decode path, the WAL decoder's
 # torn-write obligations (no panic, exact canonical prefix, idempotent
 # truncation) on arbitrary bytes, the streaming summaries' estimate
 # invariants (Space-Saving/Misra-Gries one-sided bounds, Count-Min
 # never-under-estimates, Reset replay identity) on arbitrary op tapes, and
-# the protocols' node-id set against a map + sort reference on op tapes.
+# the node-id set against a map + sort reference on op tapes.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzIntervalContainment -fuzztime $(FUZZTIME) ./internal/filter/
-	$(GO) test -fuzz FuzzPredBounds -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz FuzzPredBounds -fuzztime $(FUZZTIME) ./internal/lockstep/
 	$(GO) test -fuzz FuzzFilterMirror -fuzztime $(FUZZTIME) ./internal/lockstep/
 	$(GO) test -fuzz FuzzBatchDecode -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz FuzzSpaceSaving -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzCountMin -fuzztime $(FUZZTIME) ./internal/sketch/
-	$(GO) test -fuzz FuzzIDSet -fuzztime $(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz FuzzIDSet -fuzztime $(FUZZTIME) ./internal/idset/
 
 # cover prints per-package statement coverage for the engine-core packages
-# the violation-routing test matrix concentrates on — the index + mirror,
-# the engine, and the fault layer — plus the sketch leaf the item layer
-# stands on and the monitoring protocols. CI publishes the same table.
+# the violation-routing test matrix concentrates on — the index, the id
+# set, the engine, and the fault layer — plus the sketch leaf the item
+# layer stands on and the monitoring protocols. CI publishes the same table.
 cover:
-	$(GO) test -cover ./internal/vindex/ ./internal/lockstep/ ./internal/faults/ ./internal/sketch/ ./internal/protocol/
+	$(GO) test -cover ./internal/vindex/ ./internal/idset/ ./internal/lockstep/ ./internal/faults/ ./internal/sketch/ ./internal/protocol/
 
 check: build fmt-check vet api-check test
 
@@ -172,7 +179,7 @@ bench-selectivity:
 	@echo "wrote $(BENCH_SEL_OUT)"
 
 # bench-violation emits the violation-sweep before/after table
-# (BenchmarkViolationSweep: the filter-interval mirror vs. the FullScan
+# (BenchmarkViolationSweep: the engine's violator set vs. the FullScan
 # ablation, quiet and one-violator, at n=4096 and n=16384) as test2json into
 # $(BENCH_VIO_OUT). The committed snapshot of this table is BENCH_PR7.json.
 # See BENCH.md.

@@ -104,14 +104,14 @@ func BenchmarkSweepOneViolator(b *testing.B) {
 	}
 }
 
-// BenchmarkViolationSweep is the tentpole measurement of the
-// filter-interval mirror (BENCH_PR7.json records the before/after): the
-// scheduled violation sweep of a quiet step, and the same sweep with a
-// single violator, on the mirror-routed engine vs. the FullScan ablation.
-// The quiet indexed variant is the protocol's steady-state per-step cost
-// and must be O(1) in n and 0 allocs/op; the full-scan ablation is what
-// every quiet step cost before the mirror — the acceptance bar is ≥100×
-// between the two at n=16384.
+// BenchmarkViolationSweep measures the engine's violator set
+// (BENCH_PR7.json records the before/after of its first version, the
+// filter-interval mirror): the scheduled violation sweep of a quiet step,
+// and the same sweep with a single violator, routed through the violator
+// set vs. the FullScan ablation. The quiet indexed variant is the
+// protocol's steady-state per-step cost and must be O(1) in n and 0
+// allocs/op; the full-scan ablation checks every node once per sweep —
+// the acceptance bar is ≥100× between the two at n=16384.
 func BenchmarkViolationSweep(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
 		for _, mode := range []struct {
@@ -162,7 +162,7 @@ var hotRange = exp.HotInterval()
 //   - sweep-quiet-indexed/… — a matchless interval sweep: the index makes
 //     all γ+1 rounds free, where the state-decided fallback
 //     (sweep-quiet-fallback, = the violation sweep of a quiet step) still
-//     scans all n nodes per round.
+//     checks all n nodes.
 //
 // All variants must stay at 0 allocs/op — the index and its candidate
 // scratch are engine-owned and reused.

@@ -57,7 +57,7 @@ func main() {
 	k := flag.Int("k", 4, "default size of the monitored top set")
 	epsStr := flag.String("eps", "1/8", "default allowed error ε as a fraction p/q")
 	monitor := flag.String("monitor", "approx",
-		"default algorithm: approx|topk|exact|dense|half-eps|naive|mid-naive")
+		"default algorithm: approx|topk|exact|half-eps|naive|mid-naive")
 	seed := flag.Uint64("seed", 1, "default random seed")
 	faultSpec := flag.String("faults", "",
 		"default fault injection: comma list of drop=P, dup=P, delay=P, retries=N, crash=NODE@FROM:UNTIL")

@@ -28,9 +28,13 @@
 //	internal/protocol   the paper's algorithms (the core contribution)
 //	internal/cluster    the engine interface protocols, the fault layer
 //	                    and the harnesses are written against
-//	internal/lockstep   the deterministic engine: the paper's synchronous
-//	                    rounds as loops
-//	internal/vindex     value-bucket index and filter mirror of the engine
+//	internal/lockstep   the deterministic engine: node state held once in
+//	                    per-node slices, the paper's synchronous rounds as
+//	                    loops
+//	internal/vindex     value-bucket index of the engine
+//	internal/idset      the node-id set (bitset, id-ordered iteration) the
+//	                    engine's violator set and the protocols' V/S sets
+//	                    share; stdlib-only leaf
 //	internal/offline    the offline optimum OPT (greedy segmentation)
 //	internal/oracle     ground truth + output validation
 //	internal/stream     workloads and adaptive adversaries;
@@ -79,9 +83,10 @@
 //     nodes plausibly matching the predicate's wire.Pred.Bounds interval
 //     are visited, so scan cost tracks the matcher count σ rather than n
 //     (BenchmarkSweepSelectivity, experiment E12, BENCH_PR3.json), with a
-//     full-scan fallback for state-decided predicates. Routing is
-//     observably invisible — byte-identical reports, counters, and coin
-//     flips (TestIndexedScanMatchesFullScan).
+//     full-scan fallback for tag predicates; violation sweeps visit only
+//     the engine's violator set. Routing is observably invisible —
+//     byte-identical reports, counters, and coin flips
+//     (TestIndexedScanMatchesFullScan).
 //   - Protocols reuse broadcast FilterRules (the engine applies rules
 //     before returning) and their set/output scratch buffers.
 //   - offline.Solve reuses envelope and solver buffers and materialises a

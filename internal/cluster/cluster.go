@@ -41,10 +41,10 @@
 // possibly match the predicate's interval are visited, so the engine's
 // internal scan cost tracks the plausible-matcher count σ rather than n.
 // Violation sweeps — whose matches depend on per-node filters, not value
-// bounds — are routed through the engine's filter-interval mirror
-// (vindex.Mirror): the server assigns every filter, so the engine records
-// each assigned interval and maintains the exact violator set, making the
-// scheduled quiet-step violation sweep O(1) server-side work. All routing
+// bounds — are routed through the engine's violator set: the server
+// assigns every filter, so the engine rechecks a node whenever its value
+// or filter is written and keeps the exact set of violating nodes, making
+// the scheduled quiet-step violation sweep O(1) server-side work. All routing
 // is an implementation property with NO protocol-visible effect — the
 // model's message costs stated on each method, the report contents and id
 // order, and every coin flip are identical to a full scan (nodes outside

@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"topkmon/internal/filter"
+	"topkmon/internal/lockstep"
 	"topkmon/internal/metrics"
-	"topkmon/internal/nodecore"
 	"topkmon/internal/protocol"
 	"topkmon/internal/rngx"
 	"topkmon/internal/wire"
@@ -158,7 +158,7 @@ func E10Compliance() Experiment {
 				logND := math.Log2(float64(p.n)) + math.Log2(float64(p.maxV))
 				tb.AddRow(p.name, p.n, math.Log2(float64(p.maxV)),
 					reps[i].bits, fmt.Sprintf("%.0f", 24*logND),
-					nodecore.ExistenceRounds(p.n)+1, reps[i].rounds)
+					lockstep.ExistenceRounds(p.n)+1, reps[i].rounds)
 			}
 			return []*metrics.Table{tb}
 		},

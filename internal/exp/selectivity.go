@@ -32,7 +32,7 @@ func HotCold(vals []int64, sigma int) {
 func HotInterval() wire.Pred { return wire.InRange(1<<30, 1<<31-1) }
 
 // E12Selectivity measures the engine's value-ordered node index: the
-// number of node structs a predicate-routed Collect actually visits as a
+// number of nodes a predicate-routed Collect actually visits as a
 // function of the plausible-matcher count σ and of n. With the
 // power-of-two bucket index, visits track σ (here the isolated hot nodes)
 // and stay flat as the cold population grows; the state-decided fallback

@@ -1,4 +1,4 @@
-package protocol
+package idset
 
 import (
 	"maps"
@@ -6,18 +6,21 @@ import (
 	"testing"
 )
 
-// FuzzIDSet runs random op tapes against three idSets and a map[int]bool +
+// FuzzIDSet runs random op tapes against three Sets and a map[int]bool +
 // sort reference, checking after every op that membership, counts,
-// iteration order, appendTo and pairwise intersects agree. Universe sizes
+// iteration order, AppendTo and pairwise Intersects agree. Universe sizes
 // up to 300 cross several word boundaries.
 func FuzzIDSet(f *testing.F) {
 	f.Add(uint16(16), []byte{})
 	f.Add(uint16(63), []byte{0, 0, 62, 0, 1, 63, 3, 2, 0, 4, 1, 2, 0, 1, 0, 62})
 	f.Add(uint16(64), []byte{0, 0, 63, 0, 0, 64, 0, 1, 0, 4, 2, 0, 1, 2, 2, 0})
 	f.Add(uint16(299), []byte{0, 0, 255, 0, 1, 44, 0, 2, 1, 4, 0, 0, 1, 3, 1, 0, 1, 0, 255, 2, 0, 0})
+	// add 5, 70, 9 to set 0 and 70 to set 1, del 9, copy set 0 into set 2,
+	// then set 2 := set 0 \ set 1.
+	f.Add(uint16(129), []byte{0, 0, 5, 0, 0, 0, 70, 0, 0, 0, 9, 0, 0, 1, 70, 0, 1, 0, 9, 3, 2, 0, 4, 2, 0})
 	f.Fuzz(func(t *testing.T, nSel uint16, tape []byte) {
 		n := int(nSel)%300 + 1
-		sets := [3]idSet{newIDSet(n), newIDSet(n), newIDSet(n)}
+		sets := [3]Set{New(n), New(n), New(n)}
 		ref := [3]map[int]bool{{}, {}, {}}
 		for len(tape) >= 3 {
 			op, x, y := tape[0]%5, int(tape[1])%3, int(tape[2])
@@ -30,18 +33,18 @@ func FuzzIDSet(f *testing.F) {
 					tape = tape[1:]
 				}
 				id %= n
-				sets[x].add(id)
+				sets[x].Add(id)
 				ref[x][id] = true
 			case 1: // del
 				id := y % n
-				sets[x].del(id)
+				sets[x].Del(id)
 				delete(ref[x], id)
 			case 2: // clear
-				sets[x].clear()
+				sets[x].Clear()
 				clear(ref[x])
 			case 3: // copy set y into set x
 				src := y % 3
-				sets[x].copy(&sets[src])
+				sets[x].Copy(&sets[src])
 				ref[x] = maps.Clone(ref[src])
 			case 4: // set x := set y \ set (y+1), operands may alias x
 				a, b := y%3, (y+1)%3
@@ -51,7 +54,7 @@ func FuzzIDSet(f *testing.F) {
 						diff[id] = true
 					}
 				}
-				sets[x].andNot(&sets[a], &sets[b])
+				sets[x].AndNot(&sets[a], &sets[b])
 				ref[x] = diff
 			}
 			for i := range sets {
@@ -61,8 +64,8 @@ func FuzzIDSet(f *testing.F) {
 					for id := range ref[i] {
 						want = want || ref[j][id]
 					}
-					if got := sets[i].intersects(&sets[j]); got != want {
-						t.Fatalf("set %d intersects set %d = %v, reference %v", i, j, got, want)
+					if got := sets[i].Intersects(&sets[j]); got != want {
+						t.Fatalf("set %d Intersects set %d = %v, reference %v", i, j, got, want)
 					}
 				}
 			}
@@ -70,14 +73,14 @@ func FuzzIDSet(f *testing.F) {
 	})
 }
 
-func checkIDSet(t *testing.T, n int, s *idSet, ref map[int]bool) {
+func checkIDSet(t *testing.T, n int, s *Set, ref map[int]bool) {
 	t.Helper()
-	if s.len() != len(ref) {
-		t.Fatalf("len %d, reference %d", s.len(), len(ref))
+	if s.Len() != len(ref) {
+		t.Fatalf("Len %d, reference %d", s.Len(), len(ref))
 	}
 	for id := 0; id < n; id++ {
-		if s.has(id) != ref[id] {
-			t.Fatalf("has(%d) = %v, reference %v", id, s.has(id), ref[id])
+		if s.Has(id) != ref[id] {
+			t.Fatalf("Has(%d) = %v, reference %v", id, s.Has(id), ref[id])
 		}
 	}
 	want := make([]int, 0, len(ref))
@@ -86,19 +89,19 @@ func checkIDSet(t *testing.T, n int, s *idSet, ref map[int]bool) {
 	}
 	slices.Sort(want)
 	var got []int
-	for id := range s.all() {
+	for id := range s.All() {
 		got = append(got, id)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("iteration %v, reference %v", got, want)
 	}
-	for id := range s.all() {
+	for id := range s.All() {
 		if id != want[0] {
 			t.Fatalf("first member %d, reference %d", id, want[0])
 		}
 		break // an early exit must stop the iterator cleanly
 	}
-	if app := s.appendTo([]int{-1}); !slices.Equal(app[1:], want) || app[0] != -1 {
-		t.Fatalf("appendTo %v, reference %v after -1", app, want)
+	if app := s.AppendTo([]int{-1}); !slices.Equal(app[1:], want) || app[0] != -1 {
+		t.Fatalf("AppendTo %v, reference %v after -1", app, want)
 	}
 }

@@ -1,17 +1,22 @@
 // Package lockstep implements the cluster interface as a deterministic
-// sequential simulation: nodes are plain structs, rounds are loops, and the
-// only nondeterminism comes from explicitly seeded PRNGs. It is the primary
-// substrate for unit tests, property tests, and the experiment harness,
-// and is — by construction — exactly the synchronous unit-cost model of
-// Section 2.
+// sequential simulation: node state is a set of per-node slices, rounds are
+// loops, and the only nondeterminism comes from explicitly seeded PRNGs. It
+// is the primary substrate for unit tests, property tests, and the
+// experiment harness, and is — by construction — exactly the synchronous
+// unit-cost model of Section 2.
 //
-// The engine keeps a value-bucket index and a filter-interval mirror
-// (internal/vindex) over its nodes, maintained incrementally at every node
-// mutation: predicate-routed primitives (Sweep, Collect) visit only the
+// A node holds a value, a filter, the server's tag, its max-find
+// participation and its own RNG stream for the EXISTENCE coin flips; the
+// engine stores each of these once, indexed by node id. Alongside it keeps
+// a value-bucket index (internal/vindex) and the exact violator set (an
+// internal/idset.Set), both updated where values and filters are written:
+// Advance writes values, setFilter writes filters, and Reset rewinds both.
+// No other code writes them, so the two structures cannot drift from the
+// node state. Predicate-routed primitives (Sweep, Collect) visit only the
 // nodes whose values can match the predicate's wire.Pred.Bounds interval,
-// and violation sweeps visit exactly the mirror's violator set, so their
-// step cost tracks the number of plausible matchers instead of n. Tag
-// predicates and domain-covering intervals fall back to the full scan.
+// and violation sweeps visit exactly the violator set, so their step cost
+// tracks the number of plausible matchers instead of n. Tag predicates and
+// domain-covering intervals fall back to the full scan.
 // Routing is invisible to protocols: reports stay in id order, only
 // matching nodes consume randomness, and messages are counted identically —
 // asserted byte-for-byte by TestIndexedScanMatchesFullScan.
@@ -19,11 +24,13 @@ package lockstep
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
+	"topkmon/internal/idset"
 	"topkmon/internal/metrics"
-	"topkmon/internal/nodecore"
 	"topkmon/internal/rngx"
 	"topkmon/internal/vindex"
 	"topkmon/internal/wire"
@@ -31,22 +38,29 @@ import (
 
 // Engine is a deterministic lockstep cluster of n nodes.
 type Engine struct {
-	nodes []*nodecore.Node
-	ctr   *metrics.Counters
-	rng   *rngx.Source
-	maxV  int64 // running Δ for message-size accounting
+	// Node state, indexed by node id. Only Advance and Reset write val and
+	// only setFilter and Reset write flt, each keeping idx and vio current.
+	val        []int64
+	flt        []filter.Interval
+	tag        []wire.Tag
+	mfActive   []bool // participates in the current max-find run
+	mfExcluded []bool // returned by an earlier run of the same top-m computation
+	rngs       []rngx.Source
 
-	// idx is the value-bucket index (maintained on Advance) and mir the
-	// filter-interval mirror (maintained at every filter assignment) over
-	// the nodes; cand and scan are the scratch scanList turns predicates
-	// into id-ordered scan lists with. visited counts the node structs
-	// predicate-routed primitives actually touched — the observable the
-	// index shrinks from n per round to the plausible-matcher count
-	// (reported by E12).
+	ctr  *metrics.Counters
+	rng  *rngx.Source
+	maxV int64 // running Δ for message-size accounting
+
+	// idx is the value-bucket index and vio the set of nodes whose value
+	// lies outside their filter; all lists every id for the full-scan
+	// fallback and cand is the scratch scanList builds routed scan lists
+	// in. visited sums the scan lists predicate-routed primitives visit,
+	// once per round — the observable the index shrinks from n per round
+	// to the plausible-matcher count (reported by E12).
 	idx     *vindex.Index
-	mir     *vindex.Mirror
+	vio     idset.Set
+	all     []int32
 	cand    []int32
-	scan    []*nodecore.Node
 	visited int64
 
 	// FullScan forces the full-scan path everywhere. Ablation scaffolding
@@ -76,47 +90,59 @@ type Engine struct {
 const serverRNG = 0xC0FFEE
 
 // New returns an engine with n nodes, all values 0, all filters [0, ∞].
+// It allocates a fixed number of slices whatever n is.
 func New(n int, seed uint64) *Engine {
 	if n < 1 {
 		panic("lockstep: need at least one node")
 	}
-	root := rngx.New(seed)
 	e := &Engine{
-		nodes: make([]*nodecore.Node, n),
-		ctr:   metrics.NewCounters(),
-		rng:   root.Child(serverRNG),
-		maxV:  1,
-		idx:   vindex.New(n),
-		mir:   vindex.NewMirror(n),
+		val:        make([]int64, n),
+		flt:        make([]filter.Interval, n),
+		tag:        make([]wire.Tag, n),
+		mfActive:   make([]bool, n),
+		mfExcluded: make([]bool, n),
+		rngs:       make([]rngx.Source, n),
+		ctr:        metrics.NewCounters(),
+		rng:        new(rngx.Source),
+		idx:        vindex.New(n),
+		vio:        idset.New(n),
+		all:        make([]int32, n),
 	}
-	for i := range e.nodes {
-		e.nodes[i] = nodecore.New(i, root)
+	for i := range e.all {
+		e.all[i] = int32(i)
 	}
+	e.Reset(seed)
 	return e
 }
 
 // Reset implements cluster.Cluster: it rewinds the engine to the state
-// New(len(nodes), seed) constructs, reusing nodes, counters, and the
+// New(N(), seed) constructs, reusing node state, counters, and the
 // sweep/collect buffers. A reset engine replays a fresh engine's run
 // bit for bit (asserted by the Reset property tests), which lets the
 // experiment harness reuse one engine across all trials of a table cell.
+// Every node's RNG is the root's child stream for its id.
 func (e *Engine) Reset(seed uint64) {
 	root := rngx.New(seed)
-	for _, nd := range e.nodes {
-		nd.Reset(root)
+	for i := range e.val {
+		e.val[i] = 0
+		e.flt[i] = filter.All
+		e.tag[i] = wire.TagNone
+		e.mfActive[i] = false
+		e.mfExcluded[i] = false
+		e.rngs[i].Reseed(root.ChildSeed(uint64(i)))
 	}
+	e.vio.Clear()
 	e.ctr.Reset()
 	e.rng.Reseed(root.ChildSeed(serverRNG))
 	e.maxV = 1
 	e.idx.Reset()
-	e.mir.Reset()
 	e.visited = 0
 	e.DirectReports = false
 	e.FullScan = false
 }
 
 // N implements cluster.Cluster.
-func (e *Engine) N() int { return len(e.nodes) }
+func (e *Engine) N() int { return len(e.val) }
 
 // Counters implements cluster.Cluster.
 func (e *Engine) Counters() *metrics.Counters { return e.ctr }
@@ -127,20 +153,35 @@ func (e *Engine) Rand() *rngx.Source { return e.rng }
 // Advance installs the next observations; it is simulation scaffolding (the
 // streams are observed locally at the nodes) and costs nothing.
 func (e *Engine) Advance(values []int64) {
-	if len(values) != len(e.nodes) {
-		panic(fmt.Sprintf("lockstep: Advance with %d values for %d nodes", len(values), len(e.nodes)))
+	if len(values) != len(e.val) {
+		panic(fmt.Sprintf("lockstep: Advance with %d values for %d nodes", len(values), len(e.val)))
 	}
-	for i, nd := range e.nodes {
-		v := values[i]
+	for i, v := range values {
 		if v < 0 || v > eps.MaxValue {
 			panic(fmt.Sprintf("lockstep: value %d for node %d outside [0, %d]", v, i, eps.MaxValue))
 		}
-		nd.Observe(v)
+		e.val[i] = v
 		e.idx.Update(i, v)
-		e.mir.SetValue(i, v)
+		e.recheck(i)
 		if v > e.maxV {
 			e.maxV = v
 		}
+	}
+}
+
+// setFilter assigns node i's filter: the one write of flt outside Reset.
+func (e *Engine) setFilter(i int, iv filter.Interval) {
+	e.flt[i] = iv
+	e.recheck(i)
+}
+
+// recheck moves node i in or out of the violator set after its value or
+// filter changed.
+func (e *Engine) recheck(i int) {
+	if e.flt[i].Contains(e.val[i]) {
+		e.vio.Del(i)
+	} else {
+		e.vio.Add(i)
 	}
 }
 
@@ -148,114 +189,116 @@ func (e *Engine) Advance(values []int64) {
 func (e *Engine) EndStep() { e.ctr.EndStep() }
 
 // Values implements cluster.Inspector.
-func (e *Engine) Values() []int64 {
-	return e.ValuesInto(make([]int64, 0, len(e.nodes)))
-}
+func (e *Engine) Values() []int64 { return slices.Clone(e.val) }
 
 // ValuesInto implements cluster.Inspector: it appends all current node
 // values to dst[:0] and returns it, growing dst only when too small.
-func (e *Engine) ValuesInto(dst []int64) []int64 {
-	dst = dst[:0]
-	for _, nd := range e.nodes {
-		dst = append(dst, nd.Value)
-	}
-	return dst
-}
+func (e *Engine) ValuesInto(dst []int64) []int64 { return append(dst[:0], e.val...) }
 
 // Filters implements cluster.Inspector.
-func (e *Engine) Filters() []filter.Interval {
-	return e.FiltersInto(make([]filter.Interval, 0, len(e.nodes)))
-}
+func (e *Engine) Filters() []filter.Interval { return slices.Clone(e.flt) }
 
 // FiltersInto implements cluster.Inspector: it appends all current node
 // filters to dst[:0] and returns it, growing dst only when too small.
 func (e *Engine) FiltersInto(dst []filter.Interval) []filter.Interval {
-	dst = dst[:0]
-	for _, nd := range e.nodes {
-		dst = append(dst, nd.Filter)
-	}
-	return dst
+	return append(dst[:0], e.flt...)
 }
 
 // Tags implements cluster.Inspector.
-func (e *Engine) Tags() []wire.Tag {
-	ts := make([]wire.Tag, len(e.nodes))
-	for i, nd := range e.nodes {
-		ts[i] = nd.Tag
-	}
-	return ts
-}
+func (e *Engine) Tags() []wire.Tag { return slices.Clone(e.tag) }
 
-// VisitedNodes returns the cumulative number of node structs the
+// VisitedNodes returns the cumulative number of nodes the
 // predicate-routed primitives (Sweep, DetectViolation, Collect) have
-// touched since construction or the last Reset — per sweep round, the size
-// of the scan list. Simulation scaffolding for measuring the value index's
+// visited since construction or the last Reset, counting the size of the
+// scan list once per round — the nodes that evaluate the predicate in the
+// model, whether or not the engine rechecks them each round. Simulation scaffolding for measuring the value index's
 // selectivity (experiment E12); it is not message accounting and not part
 // of the cluster interfaces.
 func (e *Engine) VisitedNodes() int64 { return e.visited }
 
-// scanList returns the nodes a predicate-routed primitive must visit, in
-// ascending id order. It is the engine's one routing policy: the mirror's
-// violator set for the violation predicate, the index candidates for a
-// predicate's value bounds, or all nodes for the full-scan fallback — tag
-// predicates and domain-covering intervals (e.g. AboveActive(-1)), where
-// routing could prune nothing and sorting candidates would only add cost.
-// Non-routable predicates bill one full-scan fallback on the counters; the
-// decision is predicate-only, so the FullScan ablation toggle never
-// perturbs the count. The result is engine scratch recycled by the next
-// call (or e.nodes itself); candidate values may lie outside the bounds
-// (bucket coarsening), so callers still Match every node.
-func (e *Engine) scanList(p wire.Pred) []*nodecore.Node {
+// scanList returns the ids a predicate-routed primitive must visit, in
+// ascending order. It is the engine's one routing policy: the violator set
+// for the violation predicate, the index candidates for a predicate's value
+// bounds, or every id for the full-scan fallback — tag predicates and
+// domain-covering intervals (e.g. AboveActive(-1)), where routing could
+// prune nothing and sorting candidates would only add cost. Non-routable
+// predicates bill one full-scan fallback on the counters; the decision is
+// predicate-only, so the FullScan ablation toggle never perturbs the
+// count. The result is engine scratch recycled by the next call (or the
+// prebuilt all-ids list); candidate values may lie outside the bounds
+// (bucket coarsening), so callers still match every id.
+func (e *Engine) scanList(p wire.Pred) []int32 {
 	if !vindex.Routable(p) {
 		e.ctr.IndexFallback()
-		return e.nodes
+		return e.all
 	}
 	if e.FullScan {
-		return e.nodes
+		return e.all
 	}
-	if p.Kind == wire.PredViolating {
-		e.cand = e.mir.AppendViolators(e.cand[:0])
-	} else {
+	e.cand = e.cand[:0]
+	if p.Kind != wire.PredViolating {
 		lo, hi, _ := p.Bounds()
-		e.cand = e.idx.AppendSorted(e.cand[:0], lo, hi)
+		e.cand = e.idx.AppendSorted(e.cand, lo, hi)
+	} else if e.vio.Len() > 0 { // a quiet step skips the word scan
+		for i := range e.vio.All() {
+			e.cand = append(e.cand, int32(i))
+		}
 	}
-	e.scan = e.scan[:0]
-	for _, id := range e.cand {
-		e.scan = append(e.scan, e.nodes[id])
+	return e.cand
+}
+
+// match evaluates a broadcastable predicate against node i's local state.
+// It decides the violation predicate from the node's value and filter, not
+// from the violator set, so the FullScan ablation stays an independent
+// reference for the routed scans.
+func (e *Engine) match(i int32, p wire.Pred) bool {
+	switch p.Kind {
+	case wire.PredViolating:
+		return !e.flt[i].Contains(e.val[i])
+	case wire.PredAboveActive:
+		return e.mfActive[i] && e.val[i] > p.X
+	case wire.PredInRange:
+		return e.val[i] >= p.X && e.val[i] <= p.Y
+	case wire.PredHasTag:
+		return e.tag[i] == p.Tag
+	default:
+		return false
 	}
-	return e.scan
+}
+
+// report is node i's reply: its id, value and violation direction.
+func (e *Engine) report(i int32) wire.Report {
+	return wire.Report{ID: int(i), Value: e.val[i], Dir: e.flt[i].Violation(e.val[i])}
 }
 
 func (e *Engine) count(ch metrics.Channel, k wire.Kind) {
-	e.ctr.Count(ch, k.String(), wire.MsgBits(k, len(e.nodes), e.maxV))
+	e.ctr.Count(ch, k.String(), wire.MsgBits(k, len(e.val), e.maxV))
 }
 
-// BroadcastRule implements cluster.Cluster. Each node's derived filter is
-// re-mirrored after the rule applies — the mirror needs no tag state of its
-// own, it records what the node actually holds.
+// BroadcastRule implements cluster.Cluster. Every node first retags per
+// the rule, then derives its filter from its (possibly new) tag; nodes
+// whose tag the rule does not define keep their filter.
 func (e *Engine) BroadcastRule(rule *wire.FilterRule) {
 	e.count(metrics.Broadcast, wire.KindFilterRule)
 	e.ctr.Rounds(1)
-	for _, nd := range e.nodes {
-		nd.ApplyFilterRule(rule)
-		e.mir.SetFilter(nd.ID, nd.Filter)
+	for i := range e.tag {
+		var iv filter.Interval
+		e.tag[i], iv = rule.Apply(e.tag[i], e.flt[i])
+		e.setFilter(i, iv)
 	}
 }
 
 // SetFilter implements cluster.Cluster.
 func (e *Engine) SetFilter(id int, iv filter.Interval) {
 	e.count(metrics.ServerToNode, wire.KindSetFilter)
-	e.nodes[id].SetFilter(iv)
-	e.mir.SetFilter(id, iv)
+	e.setFilter(id, iv)
 }
 
 // SetTagFilter implements cluster.Cluster.
 func (e *Engine) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
 	e.count(metrics.ServerToNode, wire.KindSetFilter)
-	nd := e.nodes[id]
-	nd.SetTag(t)
-	nd.SetFilter(iv)
-	e.mir.SetFilter(id, iv)
+	e.tag[id] = t
+	e.setFilter(id, iv)
 }
 
 // Probe implements cluster.Cluster.
@@ -263,8 +306,7 @@ func (e *Engine) Probe(id int) wire.Report {
 	e.count(metrics.ServerToNode, wire.KindProbeRequest)
 	e.count(metrics.NodeToServer, wire.KindProbeReply)
 	e.ctr.Rounds(1)
-	nd := e.nodes[id]
-	return wire.Report{ID: id, Value: nd.Value, Dir: nd.Violation()}
+	return e.report(int32(id))
 }
 
 // Collect implements cluster.Cluster. Results alternate between two
@@ -279,10 +321,10 @@ func (e *Engine) Collect(p wire.Pred) []wire.Report {
 	out := e.collectBufs[e.collectIdx][:0]
 	scan := e.scanList(p)
 	e.visited += int64(len(scan))
-	for _, nd := range scan {
-		if nd.Match(p) {
+	for _, i := range scan {
+		if e.match(i, p) {
 			e.count(metrics.NodeToServer, wire.KindCollectReply)
-			out = append(out, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
+			out = append(out, e.report(i))
 		}
 	}
 	e.collectBufs[e.collectIdx] = out
@@ -298,18 +340,27 @@ func (e *Engine) Sweep(p wire.Pred) []wire.Report {
 	if e.DirectReports {
 		return e.directSweep(p)
 	}
-	// The candidate list is stable across the sweep's rounds: values only
-	// change on Advance, which cannot interleave with a running sweep.
+	// Node state cannot change during a sweep, so the matchers are found
+	// once and only they flip coins in each round. They are compacted into
+	// the candidate scratch, which scan may itself be: no write overtakes
+	// the read.
 	scan := e.scanList(p)
-	gamma := nodecore.ExistenceRounds(len(e.nodes))
+	hits := e.cand[:0]
+	for _, i := range scan {
+		if e.match(i, p) {
+			hits = append(hits, i)
+		}
+	}
+	e.cand = hits
+	gamma := ExistenceRounds(len(e.val))
 	for r := 0; r <= gamma; r++ {
 		e.ctr.Rounds(1)
 		e.visited += int64(len(scan))
 		senders := e.sweepBuf[:0]
-		for _, nd := range scan {
-			if nd.Match(p) && nd.ExistenceSend(r, len(e.nodes)) {
+		for _, i := range hits {
+			if e.existenceSend(i, r, gamma) {
 				e.count(metrics.NodeToServer, wire.KindExistenceReport)
-				senders = append(senders, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
+				senders = append(senders, e.report(i))
 			}
 		}
 		e.sweepBuf = senders[:0]
@@ -321,6 +372,27 @@ func (e *Engine) Sweep(p wire.Pred) []wire.Report {
 	return nil
 }
 
+// ExistenceRounds returns γ = ⌈log₂ n⌉, the number of probabilistic rounds
+// of the EXISTENCE protocol (Lemma 3.1) over n nodes. Round γ sends with
+// probability 1.
+func ExistenceRounds(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// existenceSend decides whether matching node i sends in round r of a
+// sweep with gamma = ExistenceRounds(N()) rounds: independently with
+// probability p_r = 2^r / n from the node's own RNG, and with certainty in
+// the final round.
+func (e *Engine) existenceSend(i int32, r, gamma int) bool {
+	if r >= gamma {
+		return true
+	}
+	return e.rngs[i].Bool(float64(uint64(1)<<uint(r)) / float64(len(e.val)))
+}
+
 // directSweep is the naive reporting scheme (one round, every matching node
 // sends); it is always correct but costs one message per matching node per
 // sweep — the baseline against which Lemma 3.1's O(1) expectation wins.
@@ -329,10 +401,10 @@ func (e *Engine) directSweep(p wire.Pred) []wire.Report {
 	senders := e.sweepBuf[:0]
 	scan := e.scanList(p)
 	e.visited += int64(len(scan))
-	for _, nd := range scan {
-		if nd.Match(p) {
+	for _, i := range scan {
+		if e.match(i, p) {
 			e.count(metrics.NodeToServer, wire.KindExistenceReport)
-			senders = append(senders, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
+			senders = append(senders, e.report(i))
 		}
 	}
 	e.sweepBuf = senders[:0]
@@ -353,29 +425,37 @@ func (e *Engine) DetectViolation() (wire.Report, bool) {
 	return senders[e.rng.Intn(len(senders))], true
 }
 
-// MaxFindInit implements cluster.Cluster.
+// MaxFindInit implements cluster.Cluster: every node above the floor that
+// is not excluded joins a fresh max-find run; with reset, earlier
+// exclusions are forgotten first, starting a new top-m computation.
 func (e *Engine) MaxFindInit(floor int64, reset bool) {
 	e.count(metrics.Broadcast, wire.KindMaxFindInit)
 	e.ctr.Rounds(1)
-	for _, nd := range e.nodes {
-		nd.MaxFindInit(floor, reset)
+	if reset {
+		clear(e.mfExcluded)
+	}
+	for i, v := range e.val {
+		e.mfActive[i] = !e.mfExcluded[i] && v > floor
 	}
 }
 
-// MaxFindRaise implements cluster.Cluster.
+// MaxFindRaise implements cluster.Cluster: the holder of the new best and
+// every node not exceeding it drop out of the run.
 func (e *Engine) MaxFindRaise(holder int, best int64) {
 	e.count(metrics.Broadcast, wire.KindMaxFindRaise)
 	e.ctr.Rounds(1)
-	for _, nd := range e.nodes {
-		nd.MaxFindRaise(holder, best)
+	for i, v := range e.val {
+		if i == holder || v <= best {
+			e.mfActive[i] = false
+		}
 	}
 }
 
-// MaxFindExclude implements cluster.Cluster.
+// MaxFindExclude implements cluster.Cluster: the named node sits out every
+// run until the next resetting init.
 func (e *Engine) MaxFindExclude(id int) {
 	e.count(metrics.Broadcast, wire.KindMaxFindExclude)
 	e.ctr.Rounds(1)
-	for _, nd := range e.nodes {
-		nd.MaxFindExclude(id)
-	}
+	e.mfExcluded[id] = true
+	e.mfActive[id] = false
 }

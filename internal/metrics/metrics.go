@@ -60,7 +60,7 @@ type Counters struct {
 	// node-local tags the server does not index) and domain-covering value
 	// intervals (e.g. AboveActive(-1)), where routing could prune nothing.
 	// Violation sweeps no longer fall back: they are resolved from the
-	// engine's filter-interval mirror (vindex.Mirror), so a quiet-step run
+	// engine's violator set (internal/lockstep), so a quiet-step run
 	// holds this counter flat (asserted by the quiet-step regression
 	// tests). It is engine-side work accounting, not message cost, and the
 	// decision is made from the predicate alone.

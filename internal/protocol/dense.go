@@ -6,6 +6,7 @@ import (
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
+	"topkmon/internal/idset"
 	"topkmon/internal/wire"
 )
 
@@ -35,8 +36,8 @@ type Dense struct {
 
 	l filter.Interval // L_r, the guess interval for ℓ*
 
-	partition       // V1, V2, V3
-	s1, s2    idSet // subsets of V2
+	partition           // V1, V2, V3
+	s1, s2    idset.Set // subsets of V2
 
 	sub *subState // non-nil while SUBPROTOCOL runs
 
@@ -71,7 +72,7 @@ type Dense struct {
 	// Reusable working memory for the per-violation bookkeeping: the
 	// output recomputation sets and buffer, the round-broadcast rule, and
 	// the persistent SUBPROTOCOL state.
-	fill, outSet idSet
+	fill, outSet idset.Set
 	outBuf       []int
 	roundRule    *wire.FilterRule
 	subStore     subState
@@ -89,9 +90,9 @@ func NewDense(c cluster.Cluster, k int, e eps.Eps) *Dense {
 	return &Dense{
 		c: c, k: k, e: e,
 		partition: newPartition(n),
-		s1:        newIDSet(n), s2: newIDSet(n),
-		fill: newIDSet(n), outSet: newIDSet(n),
-		subStore: subState{s1: newIDSet(n), s2: newIDSet(n)},
+		s1:        idset.New(n), s2: idset.New(n),
+		fill: idset.New(n), outSet: idset.New(n),
+		subStore: subState{s1: idset.New(n), s2: idset.New(n)},
 	}
 }
 
@@ -144,8 +145,8 @@ func (d *Dense) beginWithZ(z int64) {
 	d.zUpper = d.e.GrowFloor(z)
 	d.zLowC = d.e.ShrinkCeil(z)
 	d.l = filter.Make(d.zLowC, z)
-	d.s1.clear()
-	d.s2.clear()
+	d.s1.Clear()
+	d.s2.Clear()
 	if !d.open(d.c, d.k, d.zLowC, d.zUpper, d.lr(), d.ur()) {
 		// The dense premise broke between probe and classification
 		// (only possible across steps); restart.
@@ -205,26 +206,26 @@ func (d *Dense) handleDense(rep wire.Report) {
 	gen := d.gen
 	i := rep.ID
 	switch {
-	case d.v1.has(i):
+	case d.v1.Has(i):
 		// Case a: i ∈ V1 fell below ℓ_r ⇒ ℓ* < ℓ_r.
 		d.halveLower()
-	case d.v3.has(i):
+	case d.v3.Has(i):
 		// Case a′: i ∈ V3 rose above u_r ⇒ ℓ* ≥ ℓ_r.
 		d.halveUpper()
-	case d.s1.has(i) && d.s2.has(i):
+	case d.s1.Has(i) && d.s2.Has(i):
 		// An unresolved S1∩S2 node: SUBPROTOCOL decides it (the
 		// re-entry rule; see DESIGN.md interpretation 9).
 		d.startSub(i)
-	case d.s1.has(i):
+	case d.s1.Has(i):
 		if rep.Dir == filter.DirUp {
 			// Case c.1: v > z/(1-ε) ⇒ i must be in F*.
 			d.moveToV1(i)
 		} else {
 			// Case c.2: also observed below ℓ_r ⇒ S1∩S2 ⇒ SUB.
-			d.s2.add(i)
+			d.s2.Add(i)
 			d.startSub(i)
 		}
-	case d.s2.has(i):
+	case d.s2.Has(i):
 		if rep.Dir == filter.DirDown {
 			// Case c′.1: v < (1-ε)z ⇒ i cannot be in F*.
 			d.moveToV3(i)
@@ -232,30 +233,30 @@ func (d *Dense) handleDense(rep wire.Report) {
 			// Case c′.2: also observed above u_r ⇒ S1∩S2 ⇒ SUB.
 			// Align the node's tag with its S′1 membership before
 			// the SUB entry broadcast retags the disbanded S′2.
-			d.s1.add(i)
+			d.s1.Add(i)
 			d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 			d.startSub(i)
 		}
-	case d.v2.has(i):
+	case d.v2.Has(i):
 		if rep.Dir == filter.DirUp {
 			// Case b: v > u_r.
-			if d.v1.len()+d.s1.len()+1 > d.k {
+			if d.v1.Len()+d.s1.Len()+1 > d.k {
 				// b.1: more than k nodes certified above u_r.
 				d.halveUpper()
 			} else {
 				// b.2: record i in S1.
-				d.s1.add(i)
+				d.s1.Add(i)
 				d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 				d.refreshOutput()
 			}
 		} else {
 			// Case b′: v < ℓ_r.
-			if d.v3.len()+d.s2.len()+1 > d.c.N()-d.k {
+			if d.v3.Len()+d.s2.Len()+1 > d.c.N()-d.k {
 				// b′.1: more than n-k nodes certified below ℓ_r.
 				d.halveLower()
 			} else {
 				// b′.2: record i in S2.
-				d.s2.add(i)
+				d.s2.Add(i)
 				d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, d.ur()))
 				d.refreshOutput()
 			}
@@ -274,7 +275,7 @@ func (d *Dense) handleDense(rep wire.Report) {
 func (d *Dense) halveLower() {
 	d.l = d.l.LowerHalf()
 	d.Halvings++
-	d.s2.clear()
+	d.s2.Clear()
 	d.advanceRound( /* disbandS2 */ true, false)
 }
 
@@ -283,7 +284,7 @@ func (d *Dense) halveLower() {
 func (d *Dense) halveUpper() {
 	d.l = d.l.UpperHalf()
 	d.Halvings++
-	d.s1.clear()
+	d.s1.Clear()
 	d.advanceRound(false /* disbandS1 */, true)
 }
 
@@ -333,7 +334,7 @@ func (d *Dense) roundFilters(rule *wire.FilterRule) {
 // moveToV1 moves i out of V2 (and any S-sets) into V1.
 func (d *Dense) moveToV1(i int) {
 	d.removeFromV2(i)
-	d.v1.add(i)
+	d.v1.Add(i)
 	d.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(d.lr()))
 	d.refreshOutput()
 }
@@ -342,7 +343,7 @@ func (d *Dense) moveToV1(i int) {
 // context's u (u_r, or u′_{r′} while SUBPROTOCOL runs).
 func (d *Dense) moveToV3(i int) {
 	d.removeFromV2(i)
-	d.v3.add(i)
+	d.v3.Add(i)
 	up := d.ur()
 	if d.sub != nil {
 		up = d.sub.ur(d)
@@ -352,12 +353,12 @@ func (d *Dense) moveToV3(i int) {
 }
 
 func (d *Dense) removeFromV2(i int) {
-	d.v2.del(i)
-	d.s1.del(i)
-	d.s2.del(i)
+	d.v2.Del(i)
+	d.s1.Del(i)
+	d.s2.Del(i)
 	if d.sub != nil {
-		d.sub.s1.del(i)
-		d.sub.s2.del(i)
+		d.sub.s1.Del(i)
+		d.sub.s2.Del(i)
 	}
 }
 
@@ -368,7 +369,7 @@ func (d *Dense) checkTopKSwitch() {
 	if d.sub != nil {
 		return // sub has its own check
 	}
-	if !d.s1.intersects(&d.s2) && d.v1.len()+d.s1.len() == d.k && d.v3.len()+d.s2.len() == d.c.N()-d.k {
+	if !d.s1.Intersects(&d.s2) && d.v1.Len()+d.s1.Len() == d.k && d.v3.Len()+d.s2.Len() == d.c.N()-d.k {
 		d.switchTopK()
 	}
 }
@@ -384,26 +385,26 @@ func (d *Dense) refreshOutput() {
 	}
 	out := &d.outSet
 	if d.sub != nil {
-		out.copy(s1)
+		out.Copy(s1)
 	} else {
-		out.andNot(s1, s2)
+		out.AndNot(s1, s2)
 	}
-	for i := range d.v1.all() {
-		out.add(i)
+	for i := range d.v1.All() {
+		out.Add(i)
 	}
-	d.fill.andNot(&d.v2, s1)
-	d.fill.andNot(&d.fill, s2)
-	if out.len() > d.k || out.len()+d.fill.len() < d.k {
+	d.fill.AndNot(&d.v2, s1)
+	d.fill.AndNot(&d.fill, s2)
+	if out.Len() > d.k || out.Len()+d.fill.Len() < d.k {
 		d.endEpoch()
 		return
 	}
-	for i := range d.fill.all() {
-		if out.len() == d.k {
+	for i := range d.fill.All() {
+		if out.Len() == d.k {
 			break
 		}
-		out.add(i)
+		out.Add(i)
 	}
-	d.outBuf = out.appendTo(d.outBuf[:0])
+	d.outBuf = out.AppendTo(d.outBuf[:0])
 	d.out = d.outBuf
 }
 
@@ -417,14 +418,14 @@ func (d *Dense) CheckInvariants(tags []wire.Tag) error {
 	for i := range tags {
 		var want wire.Tag
 		switch {
-		case d.v1.has(i):
+		case d.v1.Has(i):
 			want = wire.TagV1
-		case d.v3.has(i):
+		case d.v3.Has(i):
 			want = wire.TagV3
-		case d.v2.has(i) && d.sub != nil:
-			want = classTag(d.sub.s1.has(i), d.sub.s2.has(i))
-		case d.v2.has(i):
-			want = classTag(d.s1.has(i), d.s2.has(i))
+		case d.v2.Has(i) && d.sub != nil:
+			want = classTag(d.sub.s1.Has(i), d.sub.s2.Has(i))
+		case d.v2.Has(i):
+			want = classTag(d.s1.Has(i), d.s2.Has(i))
 		default:
 			return fmt.Errorf("dense: node %d in no set", i)
 		}

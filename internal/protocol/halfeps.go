@@ -6,6 +6,7 @@ import (
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
+	"topkmon/internal/idset"
 	"topkmon/internal/wire"
 )
 
@@ -33,7 +34,7 @@ type HalfEps struct {
 	l0, u0 int64 // the round-0 thresholds (1-ε/2)z and (1-ε/2)z/(1-ε)
 
 	partition
-	outSet idSet
+	outSet idset.Set
 	out    []int
 }
 
@@ -45,7 +46,7 @@ func NewHalfEps(c cluster.Cluster, k int, e eps.Eps) *HalfEps {
 	if e.IsZero() {
 		panic("protocol: HalfEps needs ε > 0")
 	}
-	h := &HalfEps{c: c, k: k, e: e, partition: newPartition(c.N()), outSet: newIDSet(c.N())}
+	h := &HalfEps{c: c, k: k, e: e, partition: newPartition(c.N()), outSet: idset.New(c.N())}
 	h.topk = NewTopKProto(c, k, e)
 	h.topk.OnEpochEnd = h.startEpoch
 	return h
@@ -94,7 +95,7 @@ func (h *HalfEps) startEpoch() {
 		h.startEpoch()
 		return
 	}
-	if h.v1.len() == h.k && h.v3.len() == h.c.N()-h.k {
+	if h.v1.Len() == h.k && h.v3.Len() == h.c.N()-h.k {
 		h.inTopK = true
 		h.topk.StartWithProbe(TopM(h.c, h.k+1))
 		return
@@ -104,14 +105,14 @@ func (h *HalfEps) startEpoch() {
 
 // refreshOutput sets the output to V1 plus the smallest-id V2 nodes.
 func (h *HalfEps) refreshOutput() {
-	h.outSet.copy(&h.v1)
-	for i := range h.v2.all() {
-		if h.outSet.len() == h.k {
+	h.outSet.Copy(&h.v1)
+	for i := range h.v2.All() {
+		if h.outSet.Len() == h.k {
 			break
 		}
-		h.outSet.add(i)
+		h.outSet.Add(i)
 	}
-	h.out = h.outSet.appendTo(h.out[:0])
+	h.out = h.outSet.AppendTo(h.out[:0])
 }
 
 // HandleStep implements Monitor.
@@ -126,17 +127,17 @@ func (h *HalfEps) handle(rep wire.Report) {
 	}
 	i := rep.ID
 	switch {
-	case h.v1.has(i) || h.v3.has(i):
+	case h.v1.Has(i) || h.v3.Has(i):
 		// A settled node left its side: the ε/2-optimum communicated.
 		h.startEpoch()
-	case h.v2.has(i) && rep.Dir == filter.DirUp:
-		h.v2.del(i)
-		h.v1.add(i)
+	case h.v2.Has(i) && rep.Dir == filter.DirUp:
+		h.v2.Del(i)
+		h.v1.Add(i)
 		h.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(h.l0))
 		h.afterMove()
-	case h.v2.has(i):
-		h.v2.del(i)
-		h.v3.add(i)
+	case h.v2.Has(i):
+		h.v2.Del(i)
+		h.v3.Add(i)
 		h.c.SetTagFilter(i, wire.TagV3, filter.AtMost(h.u0))
 		h.afterMove()
 	default:
@@ -145,11 +146,11 @@ func (h *HalfEps) handle(rep wire.Report) {
 }
 
 func (h *HalfEps) afterMove() {
-	if h.v1.len() > h.k || h.v1.len()+h.v2.len() < h.k {
+	if h.v1.Len() > h.k || h.v1.Len()+h.v2.Len() < h.k {
 		h.startEpoch()
 		return
 	}
-	if h.v1.len() == h.k && h.v3.len() == h.c.N()-h.k {
+	if h.v1.Len() == h.k && h.v3.Len() == h.c.N()-h.k {
 		h.inTopK = true
 		h.topk.StartWithProbe(TopM(h.c, h.k+1))
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"topkmon/internal/filter"
+	"topkmon/internal/idset"
 	"topkmon/internal/wire"
 )
 
@@ -15,8 +16,8 @@ import (
 // out of V2 into V1 or V3 (Lemma 5.6).
 type subState struct {
 	l  filter.Interval // L′
-	s1 idSet           // S′1 (initialised to S1)
-	s2 idSet           // S′2 (initialised to ∅)
+	s1 idset.Set       // S′1 (initialised to S1)
+	s2 idset.Set       // S′2 (initialised to ∅)
 
 	initiator int
 	// lastDown is the last S′1∩S′2 node that violated downwards; it is the
@@ -41,8 +42,8 @@ func (d *Dense) startSub(initiator int) {
 	}
 	s := &d.subStore
 	s.l = filter.Make(d.l.Lo, hi)
-	s.s1.copy(&d.s1)
-	s.s2.clear()
+	s.s1.Copy(&d.s1)
+	s.s2.Clear()
 	s.initiator = initiator
 	s.lastDown = -1
 	d.sub = s
@@ -73,15 +74,15 @@ func (d *Dense) handleSub(rep wire.Report) {
 	s := d.sub
 	i := rep.ID
 	switch {
-	case d.v1.has(i):
+	case d.v1.Has(i):
 		// Case a: a V1 node fell below ℓ_r ⇒ terminate; the outer L
 		// moves to its lower half.
 		d.subEnd()
 		d.halveLower()
-	case d.v3.has(i):
+	case d.v3.Has(i):
 		// Case a′: a V3 node rose above u′ ⇒ L′ → upper half, S′1 := S1.
 		d.subUpperHalf()
-	case s.s1.has(i) && s.s2.has(i):
+	case s.s1.Has(i) && s.s2.Has(i):
 		if rep.Dir == filter.DirUp {
 			// Case d.1: v > z/(1-ε) ⇒ i joins V1 and SUB terminates.
 			d.subEnd()
@@ -91,47 +92,47 @@ func (d *Dense) handleSub(rep wire.Report) {
 			s.lastDown = i
 			d.subLowerHalf(i)
 		}
-	case s.s1.has(i):
+	case s.s1.Has(i):
 		if rep.Dir == filter.DirUp {
 			// Case c.1: v > z/(1-ε) ⇒ move i to V1 (SUB continues).
 			d.moveToV1(i)
 		} else {
 			// Case c.2: i joins S′2, entering S′1∩S′2.
-			s.s2.add(i)
+			s.s2.Add(i)
 			d.c.SetTagFilter(i, wire.TagV2S12, filter.Make(s.lr(), d.zUpper))
 			d.refreshOutput()
 		}
-	case s.s2.has(i):
+	case s.s2.Has(i):
 		if rep.Dir == filter.DirDown {
 			// Case c′.1: v < (1-ε)z ⇒ move i to V3 (SUB continues).
 			d.moveToV3(i)
 		} else {
 			// Case c′.2: i joins S′1, entering S′1∩S′2.
-			s.s1.add(i)
+			s.s1.Add(i)
 			d.c.SetTagFilter(i, wire.TagV2S12, filter.Make(s.lr(), d.zUpper))
 			d.refreshOutput()
 		}
-	case d.v2.has(i):
+	case d.v2.Has(i):
 		if rep.Dir == filter.DirUp {
 			// Case b: v > u′.
-			if d.v1.len()+s.s1.len()+1 > d.k {
+			if d.v1.Len()+s.s1.Len()+1 > d.k {
 				// b.1: more than k nodes certified above.
 				d.subUpperHalf()
 			} else {
 				// b.2: record i in S′1.
-				s.s1.add(i)
+				s.s1.Add(i)
 				d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 				d.refreshOutput()
 			}
 		} else {
 			// Case b′: v < ℓ_r.
-			if d.v3.len()+s.s2.len()+1 > d.c.N()-d.k {
+			if d.v3.Len()+s.s2.Len()+1 > d.c.N()-d.k {
 				// b′.1: terminate; outer L → lower half.
 				d.subEnd()
 				d.halveLower()
 			} else {
 				// b′.2: record i in S′2.
-				s.s2.add(i)
+				s.s2.Add(i)
 				d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, s.ur(d)))
 				d.refreshOutput()
 			}
@@ -158,24 +159,24 @@ func (d *Dense) subUpperHalf() {
 	s.l = s.l.UpperHalf()
 	// Reset S′1 to S1: nodes recorded above an older, lower u′ lose that
 	// certification (their tag reverts per their S′2 status).
-	for i := range s.s1.all() {
-		if d.s1.has(i) {
+	for i := range s.s1.All() {
+		if d.s1.Has(i) {
 			continue
 		}
-		if s.s2.has(i) {
+		if s.s2.Has(i) {
 			d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, s.ur(d)))
 		} else {
 			d.c.SetTagFilter(i, wire.TagV2, filter.Make(d.lr(), s.ur(d)))
 		}
 	}
-	s.s1.copy(&d.s1)
+	s.s1.Copy(&d.s1)
 	if s.l.Empty() {
 		victim := s.lastDown
-		if victim < 0 || !d.v2.has(victim) {
+		if victim < 0 || !d.v2.Has(victim) {
 			victim = s.initiator
 		}
 		d.subEnd()
-		if d.v2.has(victim) {
+		if d.v2.Has(victim) {
 			d.moveToV3(victim)
 		} else {
 			d.refreshOutput()
@@ -198,14 +199,14 @@ func (d *Dense) subLowerHalf(violator int) {
 		// against the DENSE sets to restore tags, so they must still
 		// describe the tags physically on the nodes.
 		d.subEnd()
-		if d.v2.has(violator) {
+		if d.v2.Has(violator) {
 			d.moveToV3(violator)
 		} else {
 			d.refreshOutput()
 		}
 		return
 	}
-	s.s2.clear()
+	s.s2.Clear()
 	rule := d.freshRoundRule().
 		WithRetag(wire.TagV2S2, wire.TagV2).
 		WithRetag(wire.TagV2S12, wire.TagV2S1)
@@ -221,9 +222,9 @@ func (d *Dense) subLowerHalf(violator int) {
 func (d *Dense) subEnd() {
 	s := d.sub
 	d.sub = nil
-	for i := range d.v2.all() {
-		cur := classTag(s.s1.has(i), s.s2.has(i))
-		want := classTag(d.s1.has(i), d.s2.has(i))
+	for i := range d.v2.All() {
+		cur := classTag(s.s1.Has(i), s.s2.Has(i))
+		want := classTag(d.s1.Has(i), d.s2.Has(i))
 		if cur != want {
 			d.c.SetTagFilter(i, want, d.denseFilterFor(want))
 		}
@@ -275,7 +276,7 @@ func (d *Dense) checkSubTopKSwitch() {
 	if s == nil {
 		return
 	}
-	if !s.s1.intersects(&s.s2) && d.v1.len()+s.s1.len() == d.k && d.v3.len()+s.s2.len() == d.c.N()-d.k {
+	if !s.s1.Intersects(&s.s2) && d.v1.Len()+s.s1.Len() == d.k && d.v3.Len()+s.s2.Len() == d.c.N()-d.k {
 		d.subEnd()
 		d.switchTopK()
 	}
@@ -290,8 +291,8 @@ func (d *Dense) maybeReenterSub() {
 		return
 	}
 	// Re-enter for the smallest-id unresolved S1∩S2 node.
-	for i := range d.s1.all() {
-		if d.s2.has(i) {
+	for i := range d.s1.All() {
+		if d.s2.Has(i) {
 			d.startSub(i)
 			return
 		}

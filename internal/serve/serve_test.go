@@ -81,6 +81,7 @@ func TestTenantLifecycle(t *testing.T) {
 		{"legacy-live", `{"engine":"live","shards":2}`, http.StatusCreated},
 		{"legacy-lockstep", `{"engine":"lockstep"}`, http.StatusCreated},
 		{"unknown-engine", `{"engine":"gpu"}`, http.StatusBadRequest},
+		{"dense-monitor", `{"monitor":"dense"}`, http.StatusBadRequest},
 		{"one-object", "{\"nodes\":8}\n", http.StatusCreated},
 		{"trailing-object", `{"nodes":8}{"nodes":9999}`, http.StatusBadRequest},
 		{"trailing-garbage", `{"nodes":8} garbage`, http.StatusBadRequest},

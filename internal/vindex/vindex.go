@@ -30,16 +30,14 @@
 // the span — which is what makes index-routed sweeps byte-identical to full
 // scans (asserted by the lockstep index property tests).
 //
-// # Filter-interval mirror
+// # Violation predicate
 //
 // The violation predicate (PredViolating) has no value bounds — a match
-// depends on each node's assigned filter — so bucket routing alone cannot
-// serve it. But every filter is server-assigned, so the engine mirrors the
-// assigned intervals next to the node values (Mirror) and maintains the
-// exact violator set incrementally; the engine resolves violation sweeps
-// from that set the same way it resolves value sweeps from the buckets.
-// With both structures in place the only remaining full-scan fallbacks are
-// tag predicates and domain-covering intervals (see Routable).
+// depends on each node's assigned filter — so bucket routing cannot serve
+// it. The lockstep engine, which owns the node values and filters, keeps
+// the exact set of violating nodes instead and resolves violation sweeps
+// from it; Routable counts it as routable. The only remaining full-scan
+// fallbacks are tag predicates and domain-covering intervals.
 package vindex
 
 import (
@@ -79,8 +77,8 @@ func FullRange(lo, hi int64) bool {
 }
 
 // Routable reports whether predicate p can be routed through the engine's
-// index structures: the violation predicate through the filter-interval
-// Mirror, interval predicates through the value-bucket Index when their
+// index structures: the violation predicate through the engine's violator
+// set, interval predicates through the value-bucket Index when their
 // Bounds do not cover the whole domain. The negation is exactly the
 // full-scan fallback the engine counts through
 // metrics.Counters.IndexFallback — tag predicates (the only remaining

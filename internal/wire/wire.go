@@ -137,14 +137,15 @@ type Pred struct {
 // internal/vindex): when ok is true, a node whose value is outside [lo, hi]
 // can never match p, so Sweep/Collect may restrict their scan to the nodes
 // plausibly in range. The interval is a NECESSARY condition only —
-// candidates still need a per-node Match (bucket routing visits supersets,
-// and PredAboveActive additionally requires max-find activity). ok is false
-// for predicates decided by non-value node state — PredViolating (per-node
-// filters) and PredHasTag (tags). PredViolating is nevertheless routable:
-// filters are server-assigned, so the engine resolves it from its
-// filter-interval mirror (vindex.Mirror) instead of these bounds; only
-// PredHasTag (and domain-covering intervals) still take the full node
-// scan.
+// candidates are still matched one by one (bucket routing visits
+// supersets, and PredAboveActive additionally requires max-find activity);
+// FuzzPredBounds in internal/lockstep checks the contract against the
+// engine's match. ok is false for predicates decided by non-value node
+// state — PredViolating (per-node filters) and PredHasTag (tags).
+// PredViolating is nevertheless routable: filters are server-assigned, so
+// the engine keeps the set of violating nodes current and resolves it from
+// that set instead of these bounds; only PredHasTag (and domain-covering
+// intervals) still take the full node scan.
 func (p Pred) Bounds() (lo, hi int64, ok bool) {
 	switch p.Kind {
 	case PredInRange:

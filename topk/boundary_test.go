@@ -102,9 +102,19 @@ func TestServeImportsOnlyPublicFacade(t *testing.T) {
 // streaming summaries stay reusable and their replay contract cannot
 // entangle with the engine packages. Test files are exempt (they may use
 // module helpers).
-func TestSketchImportsNothingFromModule(t *testing.T) {
+func TestSketchImportsNothingFromModule(t *testing.T) { checkStdlibLeaf(t, "sketch") }
+
+// TestIDSetImportsNothingFromModule pins internal/idset, the node-id set
+// the engine and the protocols share, as a stdlib-only leaf, so neither
+// side can pull the other's packages in through it. Test files are exempt.
+func TestIDSetImportsNothingFromModule(t *testing.T) { checkStdlibLeaf(t, "idset") }
+
+// checkStdlibLeaf fails if a non-test file of internal/<pkg> imports any
+// package of this module.
+func checkStdlibLeaf(t *testing.T, pkg string) {
+	t.Helper()
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(filepath.Join("..", "internal", "sketch"), func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(filepath.Join("..", "internal", pkg), func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -118,13 +128,13 @@ func TestSketchImportsNothingFromModule(t *testing.T) {
 		for _, imp := range f.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
 			if p == "topkmon" || strings.HasPrefix(p, "topkmon/") {
-				t.Errorf("%s imports %s — internal/sketch must stay a stdlib-only leaf", path, p)
+				t.Errorf("%s imports %s — internal/%s must stay a stdlib-only leaf", path, p, pkg)
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("walking internal/sketch: %v", err)
+		t.Fatalf("walking internal/%s: %v", pkg, err)
 	}
 }
 
@@ -169,14 +179,13 @@ func TestItemsLayerBoundary(t *testing.T) {
 
 // TestIndexIsLeafUnderEngine pins the node index below the engine that
 // routes through it: internal/vindex imports nothing from the module
-// except internal/eps, internal/filter and internal/wire, so the routing
-// policy (which nodes a predicate visits) stays in the lockstep engine and
-// the index cannot reach back into node state. Test files are exempt.
+// except internal/eps and internal/wire, so the routing policy (which
+// nodes a predicate visits) stays in the lockstep engine and the index
+// cannot reach back into node state. Test files are exempt.
 func TestIndexIsLeafUnderEngine(t *testing.T) {
 	allowed := map[string]bool{
-		"topkmon/internal/eps":    true,
-		"topkmon/internal/filter": true,
-		"topkmon/internal/wire":   true,
+		"topkmon/internal/eps":  true,
+		"topkmon/internal/wire": true,
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(filepath.Join("..", "internal", "vindex"), func(path string, d fs.DirEntry, err error) error {
@@ -193,7 +202,7 @@ func TestIndexIsLeafUnderEngine(t *testing.T) {
 		for _, imp := range f.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
 			if (p == "topkmon" || strings.HasPrefix(p, "topkmon/")) && !allowed[p] {
-				t.Errorf("%s imports %s — internal/vindex may only consume internal/eps, internal/filter and internal/wire", path, p)
+				t.Errorf("%s imports %s — internal/vindex may only consume internal/eps and internal/wire", path, p)
 			}
 		}
 		return nil

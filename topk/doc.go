@@ -41,17 +41,18 @@
 //
 // # Engine, algorithms, correctness
 //
-// The n nodes run on one deterministic sequential engine: nodes are plain
-// structs and the model's rounds are loops, exactly the paper's synchronous
+// The n nodes run on one deterministic sequential engine: node state is
+// held in per-node slices and the model's rounds are loops, exactly the paper's synchronous
 // time steps, so every run is bit-reproducible from its seed. The
 // facade-equivalence tests prove a pushed run byte-identical to driving
 // the engine directly.
 //
 // WithMonitor selects the paper's algorithm: the Theorem 5.8 controller
 // [Approx] (default), the exact monitor [Exact] (Corollary 3.3; assumes
-// pairwise-distinct values), [TopKProtocol] (Section 4), [Dense]
-// (Section 5.2; ε-correct in the dense regime it is designed for),
-// [HalfEps] (Corollary 5.9), and the [Naive] / [MidNaive] baselines.
+// pairwise-distinct values), [TopKProtocol] (Section 4), [HalfEps]
+// (Corollary 5.9), and the [Naive] / [MidNaive] baselines.
+// DENSEPROTOCOL (Section 5.2) runs inside [Approx]; it is not selectable
+// on its own, since it is ε-correct only in the dense regime.
 //
 // [Monitor.Check] recomputes the ground truth over the monitor's mirror of
 // all pushed values and verifies the current output's ε-Top-k property —

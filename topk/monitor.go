@@ -344,7 +344,7 @@ type Cost struct {
 	// back to a full node scan (engine-side work, not message cost). Only
 	// tag predicates and domain-covering intervals full-scan; violation
 	// sweeps — once the dominant source — are routed through the engine's
-	// filter-interval mirror, so a settled monitor's quiet steps hold this
+	// violator set, so a settled monitor's quiet steps hold this
 	// counter flat (a regression test pins that).
 	IndexFallbacks int64
 	// Fault-layer accounting, all zero without WithFaults: messages the

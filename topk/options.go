@@ -21,9 +21,6 @@ const (
 	Exact
 	// TopKProtocol is the four-phase TOP-K-PROTOCOL of Section 4.
 	TopKProtocol
-	// Dense is DENSEPROTOCOL of Section 5.2; ε-correct in the dense regime
-	// it is designed for (many nodes inside the ε-neighborhood).
-	Dense
 	// HalfEps is the Corollary 5.9 monitor: runs at ε/2 to be competitive
 	// against the ε/2-optimum while outputting valid ε-Top-k sets.
 	HalfEps
@@ -42,8 +39,6 @@ func (a Algorithm) String() string {
 		return "exact"
 	case TopKProtocol:
 		return "topk-protocol"
-	case Dense:
-		return "dense"
 	case HalfEps:
 		return "half-eps"
 	case Naive:
@@ -118,8 +113,6 @@ func (c *config) newMonitorFn(k int, e eps.Eps) func(cluster.Cluster) protocol.M
 		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewExactMid(cl, k) }
 	case TopKProtocol:
 		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewTopKProto(cl, k, e) }
-	case Dense:
-		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewDense(cl, k, e) }
 	case HalfEps:
 		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewHalfEps(cl, k, e) }
 	case Naive:

@@ -38,8 +38,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return Exact, nil
 	case "topk", "topk-protocol":
 		return TopKProtocol, nil
-	case "dense":
-		return Dense, nil
 	case "half-eps":
 		return HalfEps, nil
 	case "naive":

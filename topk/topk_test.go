@@ -277,15 +277,18 @@ func TestParsers(t *testing.T) {
 	for in, want := range map[string]topk.Algorithm{
 		"approx": topk.Approx, "exact": topk.Exact, "exact-mid": topk.Exact,
 		"topk": topk.TopKProtocol, "topk-protocol": topk.TopKProtocol,
-		"dense": topk.Dense, "half-eps": topk.HalfEps,
-		"naive": topk.Naive, "mid-naive": topk.MidNaive,
+		"half-eps": topk.HalfEps,
+		"naive":    topk.Naive, "mid-naive": topk.MidNaive,
 	} {
 		if a, err := topk.ParseAlgorithm(in); err != nil || a != want {
 			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", in, a, err, want)
 		}
 	}
-	if _, err := topk.ParseAlgorithm("quantum"); err == nil {
-		t.Error("ParseAlgorithm(quantum) accepted")
+	// "dense" names DENSEPROTOCOL, which runs only inside approx.
+	for _, bad := range []string{"quantum", "dense"} {
+		if _, err := topk.ParseAlgorithm(bad); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted", bad)
+		}
 	}
 
 	plan, err := topk.ParseFaultPlan("drop=0.1,dup=0.05,delay=0.2,retries=5,crash=2@100:300,crash=5@500:700")
@@ -361,11 +364,18 @@ func TestClosedMonitor(t *testing.T) {
 	}
 }
 
-// TestAllAlgorithmsRun smoke-tests every selectable algorithm through the
+// TestAllAlgorithmsRun smoke-tests every Algorithm constant through the
 // facade on a small distinct-valued workload, Check-validated each step.
+// The constants are enumerated up to the first unnamed value, so a new
+// algorithm is covered without editing this test, and the workload must
+// start at least two epochs, so every epoch-end path runs.
 func TestAllAlgorithmsRun(t *testing.T) {
-	algos := []topk.Algorithm{
-		topk.Approx, topk.Exact, topk.TopKProtocol, topk.HalfEps, topk.Naive, topk.MidNaive,
+	var algos []topk.Algorithm
+	for a := topk.Approx; a.String() != "Algorithm(?)"; a++ {
+		algos = append(algos, a)
+	}
+	if len(algos) < 6 {
+		t.Fatalf("enumerated only %v", algos)
 	}
 	for _, algo := range algos {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -382,8 +392,10 @@ func TestAllAlgorithmsRun(t *testing.T) {
 			batch := make([]topk.Update, n)
 			for step := 0; step < 40; step++ {
 				for i := range batch {
-					// Distinct, drifting values (Exact assumes distinctness).
-					batch[i] = topk.Update{Node: i, Value: int64(1000 + 100*i + (step*37+i*13)%90)}
+					// Distinct, drifting values (Exact assumes distinctness)
+					// whose ranks rotate every 5 steps, ending epochs.
+					rank := (i + step/5) % n
+					batch[i] = topk.Update{Node: i, Value: int64(1000 + 100*rank + (step*37+i*13)%90)}
 				}
 				if err := m.UpdateBatch(batch); err != nil {
 					t.Fatal(err)
@@ -394,6 +406,10 @@ func TestAllAlgorithmsRun(t *testing.T) {
 			}
 			if got := len(m.TopK(nil)); got != k {
 				t.Errorf("|TopK| = %d, want %d", got, k)
+			}
+			// The naive baseline has no epoch structure: Epochs() is 1.
+			if got := m.Epochs(); got < 2 && algo != topk.Naive {
+				t.Errorf("Epochs() = %d, want ≥ 2", got)
 			}
 		})
 	}
